@@ -59,52 +59,18 @@ impl BpOsdDecoder {
         if num_errors == 0 {
             return (priors, Some(Vec::new()));
         }
-        // Messages indexed by (detector, position-in-row).
-        let mut var_to_check: Vec<Vec<f64>> =
-            (0..m.num_detectors()).map(|d| m.row(d).iter().map(|&j| priors[j]).collect()).collect();
-        let mut check_to_var: Vec<Vec<f64>> =
-            (0..m.num_detectors()).map(|d| vec![0.0; m.row(d).len()]).collect();
+        let mut var_to_check: Vec<f64> = m.edge_errors().iter().map(|&j| priors[j]).collect();
+        let mut check_to_var = vec![0.0; var_to_check.len()];
         let mut posteriors = priors.clone();
 
         for _ in 0..self.max_iterations {
-            // Check update (normalized min-sum).
-            for (d, outgoing) in check_to_var.iter_mut().enumerate() {
-                let incoming = &var_to_check[d];
-                for (i, out) in outgoing.iter_mut().enumerate() {
-                    let mut sign = if syndrome.get(d) { -1.0 } else { 1.0 };
-                    let mut min_abs = f64::INFINITY;
-                    for (i2, &msg) in incoming.iter().enumerate() {
-                        if i2 == i {
-                            continue;
-                        }
-                        if msg < 0.0 {
-                            sign = -sign;
-                        }
-                        min_abs = min_abs.min(msg.abs());
-                    }
-                    if min_abs.is_infinite() {
-                        min_abs = 0.0;
-                    }
-                    *out = sign * self.scale * min_abs;
-                }
-            }
-            // Variable update and posteriors.
-            for p in posteriors.iter_mut() {
-                *p = 0.0;
-            }
-            for (d, outgoing) in check_to_var.iter().enumerate() {
-                for (&j, &msg) in m.row(d).iter().zip(outgoing) {
-                    posteriors[j] += msg;
-                }
-            }
-            for (j, p) in posteriors.iter_mut().enumerate() {
-                *p += priors[j];
-            }
-            for d in 0..m.num_detectors() {
-                for (i, &j) in m.row(d).iter().enumerate() {
-                    var_to_check[d][i] = posteriors[j] - check_to_var[d][i];
-                }
-            }
+            self.iterate(
+                syndrome.words(),
+                &priors,
+                &mut var_to_check,
+                &mut check_to_var,
+                &mut posteriors,
+            );
             // Hard decision.
             let decision: Vec<usize> = (0..num_errors).filter(|&j| posteriors[j] < 0.0).collect();
             if self.matrix.syndrome_of(&decision) == *syndrome {
@@ -112,6 +78,37 @@ impl BpOsdDecoder {
             }
         }
         (posteriors, None)
+    }
+
+    /// One normalized min-sum iteration of one shot, whose packed syndrome
+    /// words are `syndrome`: the [`check_row`] update of every detector
+    /// row, then the variable update. Messages are indexed by Tanner-graph
+    /// edge ([`DecodeMatrix::edges`]), posteriors by mechanism.
+    fn iterate(
+        &self,
+        syndrome: &[u64],
+        priors: &[f64],
+        var_to_check: &mut [f64],
+        check_to_var: &mut [f64],
+        posteriors: &mut [f64],
+    ) {
+        let m = &self.matrix;
+        for d in 0..m.num_detectors() {
+            let edges = m.edges(d);
+            let fired = (syndrome[d / 64] >> (d % 64)) & 1 == 1;
+            check_row(&var_to_check[edges.clone()], &mut check_to_var[edges], fired, self.scale);
+        }
+        posteriors.fill(0.0);
+        for (&j, &msg) in m.edge_errors().iter().zip(check_to_var.iter()) {
+            posteriors[j] += msg;
+        }
+        for (p, &prior) in posteriors.iter_mut().zip(priors) {
+            *p += prior;
+        }
+        let edges = var_to_check.iter_mut().zip(check_to_var.iter()).zip(m.edge_errors());
+        for ((v2c, &c2v), &j) in edges {
+            *v2c = posteriors[j] - c2v;
+        }
     }
 
     /// Ordered-statistics post-processing: find the most reliable error set
@@ -219,17 +216,26 @@ impl ObservableDecoder for BpOsdDecoder {
 }
 
 impl crate::batch::ResidualDecoder for BpOsdDecoder {
-    /// Lane-batched min-sum BP: up to 64 hard shots run as SIMD-style
-    /// lanes, so every edge of the Tanner graph is traversed once per
-    /// iteration for the whole lane group instead of once per shot.
+    /// Lane-batched min-sum BP: up to 64 hard shots run as the lanes of
+    /// one group, iterated in lock step and checked for convergence 64
+    /// lanes per word op.
     ///
-    /// Per lane, the floating-point operation sequence is identical to
-    /// the scalar `belief_propagation` pass (same message order, same
-    /// posterior accumulation order), so results are bit-identical to that
-    /// path. A lane that converges is recorded immediately — exactly where
-    /// the scalar loop would have returned — and later iterations never
-    /// overwrite it. Lanes that exhaust the iteration budget fall back to
-    /// the scalar OSD stage with their lane-extracted posteriors.
+    /// Each lane's messages and posteriors are one contiguous slice of flat
+    /// buffers allocated once per call and reused by every 64-shot group.
+    /// A lane iterates with the scalar pass's own `iterate`, whose
+    /// check-node update is the two-min row kernel: one pass per detector
+    /// row keeps the two smallest magnitudes, the argmin and the sign
+    /// parity; then the argmin edge gets the runner-up, every other edge
+    /// the minimum — O(deg) per row instead of O(deg²). Results are
+    /// bit-identical to the naive update and to the scalar oracle, because
+    /// min, |·| and XOR parity are exact and order-free and every other
+    /// floating-point operation runs in the scalar pass's order.
+    ///
+    /// A lane that converges is recorded immediately — exactly where the
+    /// scalar loop would have returned — and is skipped by every later
+    /// iteration, so the per-iteration cost follows the unconverged shots.
+    /// Lanes that exhaust the iteration budget fall back to the scalar OSD
+    /// stage with their posteriors.
     fn decode_residual(
         &self,
         transposed: &asynd_sim::BitMatrix,
@@ -239,7 +245,6 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
         const LANES: usize = 64;
         let m = &self.matrix;
         let num_errors = m.num_errors();
-        let num_detectors = m.num_detectors();
         if num_errors == 0 {
             // The scalar path converges immediately to the empty error
             // set; the prediction rows stay zero.
@@ -253,133 +258,63 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
                 }
             }
         };
+        // Lane `l` owns `var_to_check[l * num_edges..][..num_edges]` (and
+        // the same range of `check_to_var`) and
+        // `posteriors[l * num_errors..][..num_errors]`.
+        let edge_errors = m.edge_errors();
+        let num_edges = edge_errors.len();
+        let mut var_to_check = vec![0.0f64; LANES * num_edges];
+        let mut check_to_var = vec![0.0f64; LANES * num_edges];
+        let mut posteriors = vec![0.0f64; LANES * num_errors];
+        let mut det_mask = vec![0u64; m.num_detectors()];
+        let mut decided = vec![0u64; num_errors];
         for group in shot_indices.chunks(LANES) {
             let lane_all: u64 =
                 if group.len() == LANES { u64::MAX } else { (1u64 << group.len()) - 1 };
             // Per-detector lane mask of the group's syndromes: bit `l` of
             // `det_mask[d]` is detector d of lane l's shot.
-            let mut det_mask = vec![0u64; num_detectors];
+            det_mask.fill(0);
             for (lane, &s) in group.iter().enumerate() {
                 let words = transposed.row_words(s);
-                for d in 0..num_detectors {
+                for (d, mask) in det_mask.iter_mut().enumerate() {
                     if (words[d / 64] >> (d % 64)) & 1 == 1 {
-                        det_mask[d] |= 1 << lane;
+                        *mask |= 1 << lane;
                     }
                 }
+                let v2c = &mut var_to_check[lane * num_edges..(lane + 1) * num_edges];
+                for (v, &j) in v2c.iter_mut().zip(edge_errors) {
+                    *v = priors[j];
+                }
+                posteriors[lane * num_errors..(lane + 1) * num_errors].copy_from_slice(&priors);
             }
-            // Messages indexed by (detector, position-in-row, lane).
-            let mut var_to_check: Vec<Vec<f64>> = (0..num_detectors)
-                .map(|d| {
-                    let row = m.row(d);
-                    let mut v = vec![0.0; row.len() * LANES];
-                    for (i, &j) in row.iter().enumerate() {
-                        v[i * LANES..(i + 1) * LANES].fill(priors[j]);
-                    }
-                    v
-                })
-                .collect();
-            let mut check_to_var: Vec<Vec<f64>> =
-                (0..num_detectors).map(|d| vec![0.0; m.row(d).len() * LANES]).collect();
-            let mut posteriors = vec![0.0f64; num_errors * LANES];
-            for (j, &p) in priors.iter().enumerate() {
-                posteriors[j * LANES..(j + 1) * LANES].fill(p);
-            }
-            let mut decided = vec![0u64; num_errors];
+            decided.fill(0);
             let mut active = lane_all;
-            // Lanes still iterating. Frozen (converged) lanes are skipped
-            // by every floating-point loop below: their result is already
-            // recorded, so their messages are dead values — skipping them
-            // keeps the per-iteration cost proportional to the unconverged
-            // shots instead of the group width.
+            // Lanes still iterating; converged lanes are frozen.
             let mut live: Vec<usize> = (0..group.len()).collect();
 
             for _ in 0..self.max_iterations {
-                // Check update (normalized min-sum), all live lanes per
-                // edge.
-                for d in 0..num_detectors {
-                    let row_len = m.row(d).len();
-                    let incoming = &var_to_check[d];
-                    let outgoing = &mut check_to_var[d];
-                    for i in 0..row_len {
-                        let mut sign = det_mask[d]; // bit set ⇒ negative
-                        let mut min_abs = [f64::INFINITY; LANES];
-                        for i2 in 0..row_len {
-                            if i2 == i {
-                                continue;
-                            }
-                            let msgs = &incoming[i2 * LANES..(i2 + 1) * LANES];
-                            for &l in &live {
-                                let msg = msgs[l];
-                                if msg < 0.0 {
-                                    sign ^= 1 << l;
-                                }
-                                let a = msg.abs();
-                                if a < min_abs[l] {
-                                    min_abs[l] = a;
-                                }
-                            }
-                        }
-                        let out = &mut outgoing[i * LANES..(i + 1) * LANES];
-                        for &l in &live {
-                            let mut v = min_abs[l];
-                            if v.is_infinite() {
-                                v = 0.0;
-                            }
-                            v *= self.scale;
-                            out[l] = if (sign >> l) & 1 == 1 { -v } else { v };
-                        }
-                    }
-                }
-                // Variable update and posteriors (same accumulation order
-                // as the scalar pass: zero, add messages by ascending
-                // (detector, position), then add priors).
-                for j in 0..num_errors {
-                    let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                    for &l in &live {
-                        post[l] = 0.0;
-                    }
-                }
-                for (d, c2v_row) in check_to_var.iter().enumerate() {
-                    for (i, &j) in m.row(d).iter().enumerate() {
-                        let msgs = &c2v_row[i * LANES..(i + 1) * LANES];
-                        let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                        for &l in &live {
-                            post[l] += msgs[l];
-                        }
-                    }
-                }
-                for (j, &p) in priors.iter().enumerate() {
-                    let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                    for &l in &live {
-                        post[l] += p;
-                    }
-                }
-                for d in 0..num_detectors {
-                    for (i, &j) in m.row(d).iter().enumerate() {
-                        let post = &posteriors[j * LANES..(j + 1) * LANES];
-                        let c2v = &check_to_var[d][i * LANES..(i + 1) * LANES];
-                        let v2c = &mut var_to_check[d][i * LANES..(i + 1) * LANES];
-                        for &l in &live {
-                            v2c[l] = post[l] - c2v[l];
-                        }
-                    }
-                }
-                // Hard decision and word-parallel convergence check: lane
-                // l converged iff its decided errors reproduce its
-                // syndrome on every detector. Frozen lanes keep their
-                // stale decision bits; `active` masks them out below.
-                for (j, mask) in decided.iter_mut().enumerate() {
-                    let post = &posteriors[j * LANES..(j + 1) * LANES];
-                    let mut m64 = *mask;
-                    for &l in &live {
-                        if post[l] < 0.0 {
-                            m64 |= 1 << l;
+                for &l in &live {
+                    let post = &mut posteriors[l * num_errors..(l + 1) * num_errors];
+                    self.iterate(
+                        transposed.row_words(group[l]),
+                        &priors,
+                        &mut var_to_check[l * num_edges..(l + 1) * num_edges],
+                        &mut check_to_var[l * num_edges..(l + 1) * num_edges],
+                        post,
+                    );
+                    // Hard decision, packed as lane bits per mechanism.
+                    for (mask, &p) in decided.iter_mut().zip(post.iter()) {
+                        if p < 0.0 {
+                            *mask |= 1 << l;
                         } else {
-                            m64 &= !(1 << l);
+                            *mask &= !(1 << l);
                         }
                     }
-                    *mask = m64;
                 }
+                // Word-parallel convergence check: lane l converged iff
+                // its decided errors reproduce its syndrome on every
+                // detector. Frozen lanes keep their stale decision bits;
+                // `active` masks them out below.
                 let mut mismatch = 0u64;
                 for (d, &dm) in det_mask.iter().enumerate() {
                     let mut acc = 0u64;
@@ -403,7 +338,7 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
                         record(predictions, group[lane], obs_mask);
                     }
                     active &= !newly;
-                    live = (0..group.len()).filter(|l| (active >> l) & 1 == 1).collect();
+                    live.retain(|&l| (active >> l) & 1 == 1);
                 }
                 if active == 0 {
                     break;
@@ -419,12 +354,50 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
                 let s = group[lane];
                 let syndrome =
                     BitVec::from_words(transposed.row_words(s).to_vec(), transposed.cols());
-                let lane_posteriors: Vec<f64> =
-                    (0..num_errors).map(|j| posteriors[j * LANES + lane]).collect();
-                let errors = self.osd(&syndrome, &lane_posteriors);
+                let lane_posteriors = &posteriors[lane * num_errors..(lane + 1) * num_errors];
+                let errors = self.osd(&syndrome, lane_posteriors);
                 record(predictions, s, m.observables_of(&errors));
             }
         }
+    }
+}
+
+/// Two-min normalized min-sum check-node update of one detector row.
+///
+/// `incoming` holds the row's variable-to-check messages; `outgoing`
+/// receives its check-to-variable messages, and `syndrome` is the
+/// detector's bit. One pass over the row keeps the smallest magnitude
+/// `min1`, its first index `argmin`, the runner-up `min2` (equal to
+/// `min1` on a tie) and the parity of the negative messages. The argmin
+/// edge then receives `min2` and every other edge `min1`, an empty "other"
+/// set (∞) sends 0, the magnitude is scaled by `scale`, and the sign is
+/// the row parity XOR the syndrome bit XOR the edge's own sign.
+///
+/// This is the textbook O(deg²) update — each edge gets the scaled minimum
+/// magnitude and sign product over the other edges of its row — in O(deg),
+/// and bit-identical to it: min, |·| and XOR parity are exact and
+/// order-free, so nothing depends on how the row is traversed.
+fn check_row(incoming: &[f64], outgoing: &mut [f64], syndrome: bool, scale: f64) {
+    let mut min1 = f64::INFINITY;
+    let mut min2 = f64::INFINITY;
+    let mut argmin = 0;
+    let mut negative = syndrome;
+    for (i, &msg) in incoming.iter().enumerate() {
+        negative ^= msg < 0.0;
+        let a = msg.abs();
+        if a < min1 {
+            min2 = min1;
+            min1 = a;
+            argmin = i;
+        } else if a < min2 {
+            min2 = a;
+        }
+    }
+    let magnitude = |v: f64| if v.is_infinite() { 0.0 } else { v * scale };
+    let (others_min, argmin_min) = (magnitude(min1), magnitude(min2));
+    for (i, (out, &msg)) in outgoing.iter_mut().zip(incoming).enumerate() {
+        let v = if i == argmin { argmin_min } else { others_min };
+        *out = if negative ^ (msg < 0.0) { -v } else { v };
     }
 }
 
@@ -487,6 +460,76 @@ mod tests {
                 DemError { probability: 0.02, detectors: vec![1], observables: vec![1] },
             ],
         )
+    }
+
+    /// The textbook O(deg²) check-node update of one row, kept here only
+    /// as the oracle of [`check_row`].
+    fn naive_check_row(incoming: &[f64], syndrome: bool, scale: f64) -> Vec<f64> {
+        (0..incoming.len())
+            .map(|i| {
+                let mut sign = if syndrome { -1.0 } else { 1.0 };
+                let mut min_abs = f64::INFINITY;
+                for (i2, &msg) in incoming.iter().enumerate() {
+                    if i2 == i {
+                        continue;
+                    }
+                    if msg < 0.0 {
+                        sign = -sign;
+                    }
+                    min_abs = min_abs.min(msg.abs());
+                }
+                if min_abs.is_infinite() {
+                    min_abs = 0.0;
+                }
+                sign * scale * min_abs
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn check_row_matches_the_naive_update_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rows: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![3.0],
+            vec![-2.5],
+            vec![0.0],
+            vec![-0.0],
+            vec![1.0, 1.0],
+            vec![1.0, 1.0, 2.0],
+            vec![-1.0, 1.0, 1.0],
+            vec![2.0, 1.0, -1.0, 1.0],
+            vec![0.0, -0.0, 1.0],
+            vec![-0.0, -0.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![-3.0, -1.0, -2.0, -1.0],
+            vec![-4.0, -4.0, -4.0],
+            vec![f64::INFINITY, 2.0],
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+        ];
+        // Random rows up to catalog widths over a tiny alphabet, so ties
+        // at the minimum and signed zeros are the common case.
+        let alphabet = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 7.25, -7.25];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x2a);
+        for _ in 0..400 {
+            let len = rng.gen_range(1..90usize);
+            rows.push((0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect());
+        }
+        for row in &rows {
+            for syndrome in [false, true] {
+                let mut out = vec![f64::NAN; row.len()];
+                check_row(row, &mut out, syndrome, 0.75);
+                assert_eq!(
+                    bits(&out),
+                    bits(&naive_check_row(row, syndrome, 0.75)),
+                    "row {row:?}, syndrome {syndrome}"
+                );
+            }
+        }
     }
 
     #[test]

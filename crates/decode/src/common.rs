@@ -61,8 +61,12 @@ pub struct DecodeMatrix {
     priors: Vec<f64>,
     /// Per-error observable masks, bit i set when the error flips observable i.
     observable_masks: Vec<u64>,
-    /// Per-detector list of incident errors (rows).
-    rows: Vec<Vec<usize>>,
+    /// Start of every detector's row in `row_errors` (length
+    /// `num_detectors + 1`).
+    row_offsets: Vec<usize>,
+    /// Incident errors of every detector (rows), concatenated in detector
+    /// order: entry `e` is the error of Tanner-graph edge `e`.
+    row_errors: Vec<usize>,
 }
 
 impl DecodeMatrix {
@@ -98,7 +102,13 @@ impl DecodeMatrix {
             columns,
             priors,
             observable_masks,
-            rows,
+            row_offsets: std::iter::once(0)
+                .chain(rows.iter().scan(0, |end, row| {
+                    *end += row.len();
+                    Some(*end)
+                }))
+                .collect(),
+            row_errors: rows.concat(),
         })
     }
 
@@ -124,7 +134,20 @@ impl DecodeMatrix {
 
     /// The errors incident on detector `d`.
     pub fn row(&self, d: usize) -> &[usize] {
-        &self.rows[d]
+        &self.row_errors[self.edges(d)]
+    }
+
+    /// The Tanner-graph edges of detector `d`: the positions of its row in
+    /// [`DecodeMatrix::edge_errors`], so per-edge state can live in one
+    /// flat array.
+    pub(crate) fn edges(&self, d: usize) -> std::ops::Range<usize> {
+        self.row_offsets[d]..self.row_offsets[d + 1]
+    }
+
+    /// The error of every Tanner-graph edge, rows concatenated in detector
+    /// order.
+    pub(crate) fn edge_errors(&self) -> &[usize] {
+        &self.row_errors
     }
 
     /// Prior probability of error `j`.
@@ -225,6 +248,8 @@ mod tests {
         assert_eq!(m.num_errors(), 3);
         assert_eq!(m.row(0), &[0, 1]);
         assert_eq!(m.row(2), &[2]);
+        assert_eq!(m.edges(1), 2..4);
+        assert_eq!(m.edge_errors(), &[0, 1, 1, 2, 2]);
         assert_eq!(m.column(1), &[0, 1]);
         assert_eq!(m.observable_mask(0), 0b01);
         assert_eq!(m.observable_mask(2), 0b10);

@@ -4,9 +4,14 @@
 //! serving, lane-batched BP, cache-hit scans) must be bit-identical to the
 //! scalar `ObservableDecoder::decode` oracle for every decoder in the
 //! crate. This suite fuzzes that contract across random detector error
-//! models and shot counts straddling the 64-shot word boundary.
+//! models and shot counts straddling the 64-shot word boundary, random
+//! models whose mechanisms share one probability (so BP message
+//! magnitudes tie at every iteration), and real catalog colour-code
+//! models whose detector rows reach ~80 mechanisms.
 
-use asynd_circuit::{DemError, DetectorErrorModel};
+use asynd_circuit::{DemError, DetectorErrorModel, NoiseModel};
+use asynd_codes::catalog::family_by_name;
+use asynd_core::{LowestDepthScheduler, Scheduler};
 use asynd_decode::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
 use asynd_sim::{BatchDecoder, BatchSampler};
 use proptest::prelude::*;
@@ -16,8 +21,14 @@ use rand_chacha::ChaCha8Rng;
 /// A random DEM with `num_detectors` detectors and `num_observables`
 /// observables: each mechanism touches 1–3 distinct detectors and flips an
 /// arbitrary subset of observables, with probabilities high enough that
-/// sampled batches exercise single- and multi-defect shots.
-fn random_dem(num_detectors: usize, num_observables: usize, seed: u64) -> DetectorErrorModel {
+/// sampled batches exercise single- and multi-defect shots. With
+/// `shared_probability` every mechanism gets that one probability.
+fn random_dem(
+    num_detectors: usize,
+    num_observables: usize,
+    seed: u64,
+    shared_probability: Option<f64>,
+) -> DetectorErrorModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let num_errors = rng.gen_range(1..3 * num_detectors + 2);
     let errors = (0..num_errors)
@@ -29,7 +40,8 @@ fn random_dem(num_detectors: usize, num_observables: usize, seed: u64) -> Detect
             detectors.dedup();
             let observables: Vec<usize> =
                 (0..num_observables).filter(|_| rng.gen_range(0..2u32) == 1).collect();
-            let probability = 0.02 + 0.2 * (rng.gen_range(0..1000u32) as f64 / 1000.0);
+            let probability = shared_probability
+                .unwrap_or_else(|| 0.02 + 0.2 * (rng.gen_range(0..1000u32) as f64 / 1000.0));
             DemError { probability, detectors, observables }
         })
         .collect();
@@ -66,35 +78,60 @@ proptest! {
     #[test]
     fn mwpm_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                  shots in arb_shots(), shot_seed in any::<u64>()) {
-        let dem = random_dem(nd, no, dem_seed);
+        let dem = random_dem(nd, no, dem_seed, None);
         assert_batch_matches_scalar(&MwpmDecoder::new(&dem), &dem, shots, shot_seed);
     }
 
     #[test]
     fn unionfind_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                       shots in arb_shots(), shot_seed in any::<u64>()) {
-        let dem = random_dem(nd, no, dem_seed);
+        let dem = random_dem(nd, no, dem_seed, None);
         assert_batch_matches_scalar(&UnionFindDecoder::new(&dem), &dem, shots, shot_seed);
     }
 
     #[test]
     fn bposd_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
-                                  shots in arb_shots(), shot_seed in any::<u64>()) {
+                                  tied in any::<bool>(), shots in arb_shots(),
+                                  shot_seed in any::<u64>()) {
         // The lane-batched BP message pass must replay the scalar
         // floating-point schedule exactly, so equality here is bit-level,
-        // not approximate.
-        let dem = random_dem(nd, no, dem_seed);
+        // not approximate. With `tied`, every mechanism shares one prior:
+        // message magnitudes start tied and ties at the row minimum
+        // persist through the iterations.
+        let dem = random_dem(nd, no, dem_seed, tied.then_some(0.1));
         assert_batch_matches_scalar(&BpOsdDecoder::new(&dem, 10, 0), &dem, shots, shot_seed);
     }
 
     #[test]
     fn cached_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                    shots in arb_shots(), shot_seed in any::<u64>()) {
-        let dem = random_dem(nd, no, dem_seed);
+        let dem = random_dem(nd, no, dem_seed, None);
         let cached = CachedDecoder::new(UnionFindDecoder::new(&dem));
         assert_batch_matches_scalar(&cached, &dem, shots, shot_seed);
         // A second pass over the same batch is served from a warm cache and
         // must still agree.
         assert_batch_matches_scalar(&cached, &dem, shots, shot_seed);
+    }
+}
+
+/// Lane-batched BP-OSD against the scalar oracle on the catalog colour
+/// codes the sweep decodes with BP-OSD: index 0 and 1 of both colour
+/// families, lowest-depth schedule, at a low and a high physical rate.
+/// Their detector rows are up to 81 mechanisms wide, so the two-min
+/// check-node update's argmin/runner-up split is exercised far beyond the
+/// random models' row widths.
+#[test]
+fn bposd_batch_matches_scalar_on_catalog_colour_codes() {
+    for family in ["hexagonal-color", "square-octagonal-color"] {
+        let entries = family_by_name(family).expect("catalog family");
+        for entry in &entries[..2] {
+            let schedule = LowestDepthScheduler::new().schedule(&entry.code).unwrap();
+            for (seed, p) in [(11, 1e-3), (12, 7.4e-3)] {
+                let dem = DetectorErrorModel::build(&entry.code, &schedule, &NoiseModel::scaled(p))
+                    .unwrap();
+                let decoder = BpOsdDecoder::new(&dem, 30, 0);
+                assert_batch_matches_scalar(&decoder, &dem, 130, seed);
+            }
+        }
     }
 }
