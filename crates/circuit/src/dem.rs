@@ -7,8 +7,8 @@ use asynd_codes::StabilizerCode;
 use asynd_pauli::Pauli;
 use serde::{Deserialize, Serialize};
 
-use crate::{propagate_fault, CircuitError, FaultSite, NoiseModel, RoundCircuit, Schedule};
-use asynd_pauli::SparsePauli;
+use crate::propagate::{FaultEffect, SensitivityTable};
+use crate::{CircuitError, NoiseModel, RoundCircuit, Schedule};
 
 /// One independent error mechanism of a detector error model: with
 /// probability `probability` it flips the listed detectors and observables.
@@ -58,35 +58,57 @@ impl DetectorErrorModel {
 
     /// Builds the DEM of one noisy scheduled round of `code` under `noise`.
     ///
-    /// Every elementary fault — the 15 two-qubit Paulis after each check,
-    /// the 3 single-qubit Paulis on each idle location and the readout flip
-    /// of each ancilla — is propagated through the remainder of the round;
-    /// faults with identical detector/observable signatures are merged by
-    /// XOR-combining their probabilities. Faults with empty signatures are
-    /// dropped.
+    /// One backward sweep over the round computes, for every tick and
+    /// qubit, which detectors and observables an X or a Z there flips
+    /// (Clifford propagation is linear over GF(2)). Every elementary fault
+    /// — the 15 two-qubit Paulis after each check, the 3 single-qubit Paulis
+    /// on each idle location and the readout flip of each ancilla — then
+    /// costs the XOR of at most four of those masks. Faults with identical
+    /// signatures are merged by XOR-combining their probabilities, in a fixed
+    /// enumeration order (checks in [`Schedule::checks`] order, then idle
+    /// locations tick by tick, then readouts), so the result is
+    /// bit-reproducible. Faults with empty signatures are dropped.
+    ///
+    /// [`propagate_fault`](crate::propagate_fault) derives the same
+    /// signatures by forward propagation and serves as this builder's
+    /// oracle.
+    ///
+    /// The schedule need not be validated: checks sharing a tick are
+    /// applied in schedule order.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] if the noise model is
-    /// invalid (see [`NoiseModel::validate`]).
+    /// invalid (see [`NoiseModel::validate`]), [`CircuitError::ZeroTick`]
+    /// if a check has tick 0 and [`CircuitError::CheckMismatch`] if a check
+    /// names a data qubit or stabilizer the code does not have.
     pub fn build(
         code: &StabilizerCode,
         schedule: &Schedule,
         noise: &NoiseModel,
     ) -> Result<Self, CircuitError> {
         noise.validate()?;
+        schedule.check_indices(code)?;
         let circuit = RoundCircuit::new(code, schedule);
-        let mut accumulator: HashMap<(Vec<usize>, Vec<usize>), f64> = HashMap::new();
+        let table = SensitivityTable::new(&circuit);
 
-        let mut add = |detectors: Vec<usize>, observables: Vec<usize>, probability: f64| {
-            if probability <= 0.0 || (detectors.is_empty() && observables.is_empty()) {
+        // Merged mechanisms, keyed by their signature mask words.
+        let mut merged: HashMap<Box<[u64]>, f64> = HashMap::new();
+        let mut add = |mask: &[u64], probability: f64| {
+            if probability <= 0.0 || mask.iter().all(|&w| w == 0) {
                 return;
             }
-            let entry = accumulator.entry((detectors, observables)).or_insert(0.0);
             // Two independent mechanisms with the same signature combine into
             // a single mechanism firing when exactly one of them fires.
-            *entry = *entry * (1.0 - probability) + probability * (1.0 - *entry);
+            let combine = |q: f64| q * (1.0 - probability) + probability * (1.0 - q);
+            match merged.get_mut(mask) {
+                Some(entry) => *entry = combine(*entry),
+                None => {
+                    merged.insert(mask.into(), combine(0.0));
+                }
+            }
         };
+        let mut mask = vec![0u64; table.words()];
 
         // Two-qubit depolarizing noise after every check.
         for check in schedule.checks() {
@@ -99,72 +121,62 @@ impl DetectorErrorModel {
                         if pa == Pauli::I && pd == Pauli::I {
                             continue;
                         }
-                        let mut entries = Vec::new();
-                        if pd != Pauli::I {
-                            entries.push((check.data, pd));
-                        }
-                        if pa != Pauli::I {
-                            entries.push((ancilla, pa));
-                        }
-                        let effect = propagate_fault(
-                            &circuit,
-                            &FaultSite { tick: check.tick, error: SparsePauli::new(entries) },
-                        );
-                        add(effect.detectors, effect.observables, per_term);
+                        mask.fill(0);
+                        table.accumulate(check.tick, check.data, pd, &mut mask);
+                        table.accumulate(check.tick, ancilla, pa, &mut mask);
+                        add(&mask, per_term);
                     }
                 }
             }
         }
 
-        // Idle depolarizing noise, tick by tick.
+        // Idle depolarizing noise, tick by tick: data qubits without a check,
+        // then ancillas without a check inside their activity window.
+        let (n, r) = (circuit.num_data(), circuit.num_stabilizers());
+        let mut data_busy = vec![false; n];
+        let mut ancilla_busy = vec![false; r];
         for tick in 1..=circuit.depth() {
-            for data in 0..circuit.num_data() {
-                if circuit.is_data_idle(data, tick) {
-                    let p = noise.data_idle_probability(data);
-                    if p > 0.0 {
-                        for pauli in Pauli::ERRORS {
-                            let effect = propagate_fault(
-                                &circuit,
-                                &FaultSite { tick, error: SparsePauli::new(vec![(data, pauli)]) },
-                            );
-                            add(effect.detectors, effect.observables, p / 3.0);
-                        }
+            for check in circuit.layer(tick) {
+                data_busy[check.data] = true;
+                ancilla_busy[check.stabilizer] = true;
+            }
+            let idle_data = (0..n)
+                .filter(|&data| !data_busy[data])
+                .map(|data| (data, noise.data_idle_probability(data)));
+            let idle_ancillas = circuit
+                .ancilla_windows()
+                .iter()
+                .enumerate()
+                .filter(|&(stab, &(first, last))| {
+                    !ancilla_busy[stab] && first != 0 && (first..=last).contains(&tick)
+                })
+                .map(|(stab, _)| (n + stab, noise.ancilla_idle_probability(stab)));
+            for (qubit, p) in idle_data.chain(idle_ancillas) {
+                if p > 0.0 {
+                    for pauli in Pauli::ERRORS {
+                        mask.fill(0);
+                        table.accumulate(tick, qubit, pauli, &mut mask);
+                        add(&mask, p / 3.0);
                     }
                 }
             }
-            for stab in 0..circuit.num_stabilizers() {
-                if circuit.is_ancilla_idle(stab, tick) {
-                    let p = noise.ancilla_idle_probability(stab);
-                    if p > 0.0 {
-                        let ancilla = circuit.ancilla_qubit(stab);
-                        for pauli in Pauli::ERRORS {
-                            let effect = propagate_fault(
-                                &circuit,
-                                &FaultSite {
-                                    tick,
-                                    error: SparsePauli::new(vec![(ancilla, pauli)]),
-                                },
-                            );
-                            add(effect.detectors, effect.observables, p / 3.0);
-                        }
-                    }
-                }
-            }
+            data_busy.fill(false);
+            ancilla_busy.fill(false);
         }
 
-        // Readout flips: detector s and its round-2 comparison r + s.
-        let r = circuit.num_stabilizers();
+        // Readout flips: a Z on the ancilla just before readout, flipping
+        // detector s and its round-2 comparison r + s.
         for stab in 0..r {
-            let p = noise.measurement_probability(stab);
-            add(vec![stab, r + stab], Vec::new(), p);
+            mask.fill(0);
+            table.accumulate(circuit.depth(), n + stab, Pauli::Z, &mut mask);
+            add(&mask, noise.measurement_probability(stab));
         }
 
-        let mut errors: Vec<DemError> = accumulator
+        let mut errors: Vec<DemError> = merged
             .into_iter()
-            .map(|((detectors, observables), probability)| DemError {
-                probability,
-                detectors,
-                observables,
+            .map(|(signature, probability)| {
+                let FaultEffect { detectors, observables } = table.effect(&signature);
+                DemError { probability, detectors, observables }
             })
             .collect();
         errors.sort_by(|a, b| {

@@ -123,7 +123,8 @@ fn bump(counter: &AtomicU64) {
 }
 
 /// Pre-resolved telemetry handles mirroring [`EvaluatorStats`], plus the
-/// model-build and sampling latency histograms.
+/// model-build (`asynd_eval_model_build_us`, DEM plus decoder), DEM-build
+/// (`asynd_eval_dem_build_us`), sampling and decode latency histograms.
 ///
 /// Resolved once (taking the registry mutex once per handle) and then
 /// recorded through lock-free shard atomics, so instrumentation adds no
@@ -138,6 +139,7 @@ pub struct EvaluatorMetrics {
     speculative_short_circuits: Counter,
     evictions: Counter,
     build_us: Histogram,
+    dem_build_us: Histogram,
     sample_us: Histogram,
     decode_us: Histogram,
 }
@@ -157,6 +159,7 @@ impl EvaluatorMetrics {
             speculative_short_circuits: counter("asynd_eval_speculative_short_circuits_total"),
             evictions: counter("asynd_eval_cache_evictions_total"),
             build_us: registry.histogram(&labeled("asynd_eval_model_build_us", labels)),
+            dem_build_us: registry.histogram(&labeled("asynd_eval_dem_build_us", labels)),
             sample_us: registry.histogram(&labeled("asynd_eval_sample_us", labels)),
             decode_us: registry.histogram(&labeled("asynd_eval_decode_us", labels)),
         }
@@ -525,7 +528,8 @@ impl Evaluator {
     }
 
     /// Builds the model artifacts (DEM, frame view, decoder) for a
-    /// schedule, recording the build latency when instrumented.
+    /// schedule, recording the DEM and whole-model build latencies when
+    /// instrumented.
     fn build_model(
         &self,
         code: &StabilizerCode,
@@ -533,6 +537,7 @@ impl Evaluator {
     ) -> Result<Model, CircuitError> {
         let start = Instant::now();
         let dem = DetectorErrorModel::build(code, schedule, &self.noise)?;
+        self.metric(|m| m.dem_build_us.record_duration(start.elapsed()));
         let frame = Arc::new(dem.to_frame_model());
         let decoder: Arc<dyn BatchObservableDecoder> = Arc::from(self.factory.build_batch(&dem));
         self.metric(|m| m.build_us.record_duration(start.elapsed()));

@@ -61,11 +61,25 @@ impl RoundCircuit {
     ///
     /// The schedule should already have been validated with
     /// [`Schedule::validate`]; this constructor only organises it per tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a check has tick 0 or indexes a data qubit or stabilizer
+    /// the code does not have ([`DetectorErrorModel::build`] rejects such
+    /// schedules with a typed error instead).
+    ///
+    /// [`DetectorErrorModel::build`]: crate::DetectorErrorModel::build
     pub fn new(code: &StabilizerCode, schedule: &Schedule) -> Self {
         let depth = schedule.depth();
         let mut layers = vec![Vec::new(); depth];
+        let mut windows = vec![(0, 0); code.stabilizers().len()];
         for check in schedule.checks() {
             layers[check.tick - 1].push(*check);
+            let window = &mut windows[check.stabilizer];
+            if window.0 == 0 || check.tick < window.0 {
+                window.0 = check.tick;
+            }
+            window.1 = window.1.max(check.tick);
         }
         RoundCircuit {
             num_data: code.num_qubits(),
@@ -73,7 +87,7 @@ impl RoundCircuit {
             num_logicals: code.num_logicals(),
             depth,
             layers,
-            windows: schedule.ancilla_windows(),
+            windows,
             stabilizers: code.stabilizers().to_vec(),
             logical_x: code.logical_x().to_vec(),
             logical_z: code.logical_z().to_vec(),
@@ -126,34 +140,30 @@ impl RoundCircuit {
         &self.layers[tick - 1]
     }
 
-    /// The `(first, last)` activity window of each ancilla.
+    /// The `(first, last)` activity window of each ancilla; `(0, 0)` for a
+    /// stabilizer with no checks.
     pub fn ancilla_windows(&self) -> &[(usize, usize)] {
         &self.windows
     }
-
-    /// Whether a data qubit is idle (has no check) at the given tick.
-    pub fn is_data_idle(&self, data: usize, tick: usize) -> bool {
-        !self.layer(tick).iter().any(|c| c.data == data)
-    }
-
-    /// Whether an ancilla is idle at the given tick: inside its activity
-    /// window but not being checked.
-    pub fn is_ancilla_idle(&self, stabilizer: usize, tick: usize) -> bool {
-        let (first, last) = self.windows[stabilizer];
-        first != 0
-            && tick >= first
-            && tick <= last
-            && !self.layer(tick).iter().any(|c| c.stabilizer == stabilizer)
-    }
 }
 
-/// Propagates a single Pauli fault through the rest of the round and reports
-/// which detectors and observables it flips.
+/// Propagates a single Pauli fault forward through the rest of the round
+/// and reports which detectors and observables it flips: the oracle for
+/// [`DetectorErrorModel::build`].
+///
+/// The builder never calls this. It reads every fault's signature off one
+/// backward detector-sensitivity sweep; this function walks the circuit
+/// forward, gate by gate, on a dense Pauli string. The two are independent
+/// derivations of the same linear map, and the test suites check that they
+/// agree fault by fault and DEM by DEM.
 ///
 /// The propagation rules for a controlled-σ check (ancilla control, data
 /// target) are: an X component on the ancilla multiplies σ onto the data
 /// qubit; a data error anticommuting with σ multiplies Z onto the ancilla.
-/// At readout, an ancilla error with a Z component flips the measurement.
+/// Checks sharing a tick are applied in schedule order. At readout, an
+/// ancilla error with a Z component flips the measurement.
+///
+/// [`DetectorErrorModel::build`]: crate::DetectorErrorModel::build
 ///
 /// # Example
 ///
@@ -235,13 +245,155 @@ pub fn propagate_fault(circuit: &RoundCircuit, site: &FaultSite) -> FaultEffect 
     FaultEffect { detectors, observables }
 }
 
+/// The detector and observable signature of every single-qubit Pauli at
+/// every tick boundary of a round, from one backward sweep.
+///
+/// Clifford propagation is linear over GF(2), so the signature of any fault
+/// is the XOR of the signatures of its X and Z components. The table holds
+/// one bitset per `(tick, qubit, X|Z)`: bits `0..2r` are the detectors and
+/// bits `2r..2r + 2k` the observables, both in [`FaultEffect`] order. Tick
+/// `t` means "after the gate layer of tick `t`", as in [`FaultSite`].
+///
+/// The sweep starts from the end-of-round signatures and steps back through
+/// each layer's checks in reverse, applying the transpose of each
+/// controlled-σ gate: `mask(X_a) ^= mask(σ_d)`, and `mask(P_d) ^= mask(Z_a)`
+/// when `P` anticommutes with σ. Reversing within a layer reproduces
+/// [`propagate_fault`]'s sequential semantics even when two checks of one
+/// tick share a qubit.
+pub(crate) struct SensitivityTable {
+    num_qubits: usize,
+    num_detectors: usize,
+    words: usize,
+    /// `(depth + 1) × num_qubits × {X, Z}` masks of `words` words each.
+    masks: Vec<u64>,
+}
+
+impl SensitivityTable {
+    /// Runs the backward sweep over `circuit`.
+    pub(crate) fn new(circuit: &RoundCircuit) -> Self {
+        let n = circuit.num_data();
+        let r = circuit.num_stabilizers();
+        let k = circuit.num_logicals();
+        let num_qubits = circuit.num_qubits();
+        let num_bits = circuit.num_detectors() + circuit.num_observables();
+        let words = num_bits.div_ceil(64);
+        let stride = num_qubits * 2 * words;
+        let depth = circuit.depth();
+        let mut masks = vec![0u64; (depth + 1) * stride];
+
+        // End of round: a Z on ancilla s flips its readout s and therefore
+        // the comparison r + s; a residual data Pauli flips the comparison
+        // of every stabilizer and the readout of every logical it
+        // anticommutes with.
+        let end = &mut masks[depth * stride..];
+        let mut flip = |qubit: usize, z: bool, bit: usize| {
+            end[(2 * qubit + usize::from(z)) * words + bit / 64] ^= 1 << (bit % 64);
+        };
+        for s in 0..r {
+            flip(n + s, true, s);
+            flip(n + s, true, r + s);
+        }
+        let operators = circuit.stabilizers.iter().enumerate().map(|(s, op)| (r + s, op));
+        let logical_z = circuit.logical_z.iter().enumerate().map(|(i, op)| (2 * r + i, op));
+        let logical_x = circuit.logical_x.iter().enumerate().map(|(i, op)| (2 * r + k + i, op));
+        for (bit, operator) in operators.chain(logical_z).chain(logical_x) {
+            for &(q, p) in operator.entries() {
+                // X anticommutes with p iff p has a Z component, and vice versa.
+                if p.has_z() {
+                    flip(q, false, bit);
+                }
+                if p.has_x() {
+                    flip(q, true, bit);
+                }
+            }
+        }
+
+        // Step back through each layer, last check first, applying each
+        // gate's transpose; the σ_d masks are read before the data update.
+        for tick in (1..=depth).rev() {
+            let (earlier, later) = masks.split_at_mut(tick * stride);
+            let table = &mut earlier[(tick - 1) * stride..];
+            table.copy_from_slice(&later[..stride]);
+            for check in circuit.layer(tick).iter().rev() {
+                let ancilla = circuit.ancilla_qubit(check.stabilizer);
+                let (ax, az) = (2 * ancilla * words, (2 * ancilla + 1) * words);
+                let (dx, dz) = (2 * check.data * words, (2 * check.data + 1) * words);
+                let (sx, sz) = check.pauli.xz();
+                for w in 0..words {
+                    let (x_mask, z_mask) = (table[dx + w], table[dz + w]);
+                    if sx {
+                        table[ax + w] ^= x_mask;
+                        table[dz + w] ^= table[az + w];
+                    }
+                    if sz {
+                        table[ax + w] ^= z_mask;
+                        table[dx + w] ^= table[az + w];
+                    }
+                }
+            }
+        }
+        SensitivityTable { num_qubits, num_detectors: circuit.num_detectors(), words, masks }
+    }
+
+    /// Words per signature mask.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// XORs the signature of `pauli` on `qubit` after tick `tick` into
+    /// `mask`.
+    pub(crate) fn accumulate(&self, tick: usize, qubit: usize, pauli: Pauli, mask: &mut [u64]) {
+        let (x, z) = pauli.xz();
+        let base = (tick * self.num_qubits + qubit) * 2 * self.words;
+        for (component, present) in [(0, x), (1, z)] {
+            if present {
+                let start = base + component * self.words;
+                for (out, &word) in mask.iter_mut().zip(&self.masks[start..start + self.words]) {
+                    *out ^= word;
+                }
+            }
+        }
+    }
+
+    /// Splits a signature mask into sorted detector and observable lists.
+    pub(crate) fn effect(&self, mask: &[u64]) -> FaultEffect {
+        let mut effect = FaultEffect::default();
+        for (w, &word) in mask.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let bit = 64 * w + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if bit < self.num_detectors {
+                    effect.detectors.push(bit);
+                } else {
+                    effect.observables.push(bit - self.num_detectors);
+                }
+            }
+        }
+        effect
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use asynd_codes::{rotated_surface_code, steane_code};
 
+    /// The fault's signature by forward propagation, asserted equal to the
+    /// sensitivity-table lookup, so every expectation below holds for both.
+    fn effect(circuit: &RoundCircuit, site: &FaultSite) -> FaultEffect {
+        let forward = propagate_fault(circuit, site);
+        let table = SensitivityTable::new(circuit);
+        let mut mask = vec![0; table.words()];
+        for &(q, p) in site.error.entries() {
+            table.accumulate(site.tick, q, p, &mut mask);
+        }
+        assert_eq!(table.effect(&mask), forward, "sensitivity table disagrees with propagation");
+        forward
+    }
+
     fn single(circuit: &RoundCircuit, tick: usize, qubit: usize, pauli: Pauli) -> FaultEffect {
-        propagate_fault(circuit, &FaultSite { tick, error: SparsePauli::new(vec![(qubit, pauli)]) })
+        effect(circuit, &FaultSite { tick, error: SparsePauli::new(vec![(qubit, pauli)]) })
     }
 
     #[test]
@@ -351,7 +503,7 @@ mod tests {
         // Apply a full logical X operator before the round: no detector
         // fires, but the logical-Z observable flips.
         let logical = code.logical_x()[0].clone();
-        let effect = propagate_fault(&circuit, &FaultSite { tick: 0, error: logical });
+        let effect = effect(&circuit, &FaultSite { tick: 0, error: logical });
         assert!(effect.detectors.is_empty());
         // A logical X error anticommutes with Z̄ and therefore flips the
         // logical-Z readout, which is observable index 0.
@@ -359,12 +511,16 @@ mod tests {
     }
 
     #[test]
-    fn idle_tracking() {
+    fn ancilla_windows_track_activity() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
         let circuit = RoundCircuit::new(&code, &schedule);
-        let check = schedule.checks()[0];
-        assert!(!circuit.is_data_idle(check.data, check.tick));
-        assert!(!circuit.is_ancilla_idle(check.stabilizer, check.tick));
+        assert_eq!(circuit.ancilla_windows().len(), 6);
+        for (s, &(first, last)) in circuit.ancilla_windows().iter().enumerate() {
+            let ticks: Vec<usize> =
+                schedule.checks().iter().filter(|c| c.stabilizer == s).map(|c| c.tick).collect();
+            assert_eq!(first, *ticks.iter().min().unwrap());
+            assert_eq!(last, *ticks.iter().max().unwrap());
+        }
     }
 }

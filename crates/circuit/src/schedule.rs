@@ -190,31 +190,27 @@ impl Schedule {
         self.checks.iter().map(|c| c.tick).max().unwrap_or(0)
     }
 
-    /// The checks executing at a given tick.
-    pub fn checks_at(&self, tick: usize) -> Vec<&Check> {
-        self.checks.iter().filter(|c| c.tick == tick).collect()
-    }
-
     /// The tick of the check between `stabilizer` and `data`, if scheduled.
     pub fn tick_of(&self, stabilizer: usize, data: usize) -> Option<usize> {
         self.checks.iter().find(|c| c.stabilizer == stabilizer && c.data == data).map(|c| c.tick)
     }
 
-    /// First and last tick at which each stabilizer's ancilla is active.
-    ///
-    /// Returns `(first, last)` per stabilizer; stabilizers with no checks get
-    /// `(0, 0)`.
-    pub fn ancilla_windows(&self) -> Vec<(usize, usize)> {
-        let mut windows = vec![(usize::MAX, 0usize); self.num_stabilizers];
-        for c in &self.checks {
-            let w = &mut windows[c.stabilizer];
-            w.0 = w.0.min(c.tick);
-            w.1 = w.1.max(c.tick);
+    /// The O(checks) part of [`Schedule::validate`]: every tick is positive
+    /// and every check names a data qubit and a stabilizer of `code`.
+    /// These are the conditions circuit construction needs to index its
+    /// per-tick, per-qubit tables.
+    pub(crate) fn check_indices(&self, code: &StabilizerCode) -> Result<(), CircuitError> {
+        if self.checks.iter().any(|c| c.tick == 0) {
+            return Err(CircuitError::ZeroTick);
         }
-        windows
-            .into_iter()
-            .map(|(first, last)| if first == usize::MAX { (0, 0) } else { (first, last) })
-            .collect()
+        match self
+            .checks
+            .iter()
+            .find(|c| c.stabilizer >= code.stabilizers().len() || c.data >= code.num_qubits())
+        {
+            Some(c) => Err(CircuitError::CheckMismatch { stabilizer: c.stabilizer, data: c.data }),
+            None => Ok(()),
+        }
     }
 
     /// Checks the schedule against its code.
@@ -230,15 +226,10 @@ impl Schedule {
     ///
     /// Returns the first violated [`CircuitError`].
     pub fn validate(&self, code: &StabilizerCode) -> Result<(), CircuitError> {
-        if self.checks.iter().any(|c| c.tick == 0) {
-            return Err(CircuitError::ZeroTick);
-        }
+        self.check_indices(code)?;
         // Coverage and Pauli consistency.
         let mut per_stab: HashMap<usize, HashMap<usize, (Pauli, usize)>> = HashMap::new();
         for c in &self.checks {
-            if c.stabilizer >= code.stabilizers().len() || c.data >= code.num_qubits() {
-                return Err(CircuitError::CheckMismatch { stabilizer: c.stabilizer, data: c.data });
-            }
             let expected = code.stabilizers()[c.stabilizer].get(c.data);
             if expected != c.pauli || expected == Pauli::I {
                 return Err(CircuitError::CheckMismatch { stabilizer: c.stabilizer, data: c.data });
@@ -474,18 +465,6 @@ mod tests {
             schedule.validate(&code),
             Err(CircuitError::CrossingParityViolated { .. })
         ));
-    }
-
-    #[test]
-    fn ancilla_windows_track_activity() {
-        let code = steane_code();
-        let schedule = Schedule::trivial(&code);
-        let windows = schedule.ancilla_windows();
-        assert_eq!(windows.len(), 6);
-        for (first, last) in windows {
-            assert!(first >= 1);
-            assert!(last >= first);
-        }
     }
 
     #[test]

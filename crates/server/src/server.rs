@@ -999,11 +999,14 @@ mod tests {
         assert_eq!(snapshot.gauges["asynd_jobs_inflight"], 0, "idle pool reads zero");
         // The tenant's evaluator and the racing strategy report into the
         // same registry, labelled.
-        let tenant_misses = asynd_telemetry::labeled(
-            "asynd_eval_cache_misses_total",
-            &[("tenant", "rotated-surface[0]|brisbane|shots=150")],
-        );
+        let tenant = [("tenant", "rotated-surface[0]|brisbane|shots=150")];
+        let tenant_misses = asynd_telemetry::labeled("asynd_eval_cache_misses_total", &tenant);
         assert!(snapshot.counters[&tenant_misses] > 0, "tenant evaluator counters registered");
+        let histogram = |name| &snapshot.histograms[&asynd_telemetry::labeled(name, &tenant)];
+        let (dem, model) =
+            (histogram("asynd_eval_dem_build_us"), histogram("asynd_eval_model_build_us"));
+        assert!(dem.count > 0 && dem.count == model.count, "every model build times its DEM");
+        assert!(dem.sum <= model.sum, "DEM construction is part of model construction");
         let anneal_evals =
             asynd_telemetry::labeled("asynd_strategy_evals_total", &[("strategy", "anneal")]);
         assert!(snapshot.counters[&anneal_evals] > 0, "strategy spend lands in server telemetry");

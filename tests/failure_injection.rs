@@ -56,6 +56,34 @@ fn zero_tick_schedules_are_rejected() {
 }
 
 #[test]
+fn dem_construction_rejects_malformed_schedules() {
+    let code = steane_code();
+    let noise = NoiseModel::brisbane();
+    let trivial = Schedule::trivial(&code);
+    let build_with = |edit: &dyn Fn(&mut Check)| {
+        let mut checks = trivial.checks().to_vec();
+        edit(&mut checks[3]);
+        DetectorErrorModel::build(&code, &Schedule::new(7, 6, checks), &noise)
+    };
+    assert_eq!(build_with(&|c| c.tick = 0), Err(CircuitError::ZeroTick));
+    assert_eq!(
+        build_with(&|c| c.data = 7),
+        Err(CircuitError::CheckMismatch { stabilizer: trivial.checks()[3].stabilizer, data: 7 })
+    );
+    assert_eq!(
+        build_with(&|c| c.stabilizer = 6),
+        Err(CircuitError::CheckMismatch { stabilizer: 6, data: trivial.checks()[3].data })
+    );
+    // The register is sized by the code, not by the schedule's declared
+    // dimensions, so a schedule that under-declares them still builds.
+    let undeclared = Schedule::new(0, 0, trivial.checks().to_vec());
+    assert_eq!(
+        DetectorErrorModel::build(&code, &undeclared, &noise),
+        DetectorErrorModel::build(&code, &trivial, &noise)
+    );
+}
+
+#[test]
 fn dem_construction_rejects_invalid_noise() {
     let code = steane_code();
     let schedule = Schedule::trivial(&code);
