@@ -27,8 +27,8 @@
 //!
 //! | Decoder | Residual path | Scalar fallback triggers |
 //! |---|---|---|
-//! | [`MwpmDecoder`] | scalar loop over hard shots | every multi-defect shot (matching is inherently per-shot) |
-//! | [`UnionFindDecoder`] | scalar loop over hard shots | every multi-defect shot (cluster growth is per-shot; the word win comes from the in-register kernel refinement inside `solve_cluster`) |
+//! | [`MwpmDecoder`] | per-shot matching over one per-call table of Dijkstra rows, each source's row computed on first use and shared by all hard shots of the call (see `mwpm.rs`) | none: matching is per-shot, but no row is computed twice |
+//! | [`UnionFindDecoder`] | scalar loop over hard shots (the default) | every multi-defect shot: cluster growth is per-shot; each cluster solve is one word-level elimination of `[A \| b]` plus one refinement loop, on buffers reused across the decode (see `unionfind.rs`) |
 //! | [`BpOsdDecoder`] | lane-batched BP message pass: 64 shots per message word (see `bposd.rs`) | OSD post-processing of the shots whose BP did not converge |
 //! | [`CachedDecoder<D>`] | cache-hit scan, then the inner decoder's residual path on distinct misses | cache misses only |
 //!
@@ -50,7 +50,8 @@ use crate::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
 /// [`decode_residual`](Self::decode_residual) writes exactly what the
 /// scalar [`ObservableDecoder::decode`] would produce for each listed
 /// shot (the default implementation *is* that scalar loop; overrides —
-/// like BP-OSD's lane-batched message pass — must preserve bit-identity).
+/// BP-OSD's lane-batched message pass, MWPM's shared Dijkstra rows — must
+/// preserve bit-identity).
 pub trait ResidualDecoder: ObservableDecoder {
     /// Decodes the hard shots `shot_indices` of a transposed
     /// (shot-major-rows) detector matrix into `predictions` columns.
@@ -74,9 +75,8 @@ pub trait ResidualDecoder: ObservableDecoder {
     }
 }
 
-impl ResidualDecoder for MwpmDecoder {}
 impl ResidualDecoder for UnionFindDecoder {}
-// BpOsdDecoder's lane-batched override lives in `bposd.rs`.
+// The MWPM and BP-OSD overrides live in `mwpm.rs` and `bposd.rs`.
 
 /// The shared word-parallel engine: pre-screens every shot word, serves
 /// zero- and single-defect shots in bulk, and hands the residual hard

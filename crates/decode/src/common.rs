@@ -187,6 +187,20 @@ impl DecodeMatrix {
     }
 }
 
+/// Positions of the set bits of a word slice, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 /// A memoising wrapper around any decoder: identical detector patterns are
 /// decoded once and served from a cache afterwards.
 ///

@@ -5,8 +5,10 @@ use std::collections::{BinaryHeap, HashMap};
 
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
 use asynd_pauli::BitVec;
+use asynd_sim::BitMatrix;
 
-use crate::common::CachedDecoder;
+use crate::batch::ResidualDecoder;
+use crate::common::{ones, CachedDecoder};
 
 /// An edge of the matching graph.
 #[derive(Debug, Clone, Copy)]
@@ -31,6 +33,11 @@ struct MatchEdge {
 /// beyond that. The prediction is the XOR of the observable masks along the
 /// matched shortest paths.
 ///
+/// The scalar [`ObservableDecoder::decode`] runs a fresh Dijkstra from
+/// every defect and is the oracle. The batch path runs each source's
+/// Dijkstra at most once per call and shares the row among all hard shots
+/// of the call (see [`ResidualDecoder`]); the decoder itself keeps no rows.
+///
 /// # Example
 ///
 /// ```
@@ -53,6 +60,13 @@ pub struct MwpmDecoder {
     adjacency: Vec<Vec<MatchEdge>>,
     /// Exact-matching cutoff (number of defects).
     exact_limit: usize,
+}
+
+/// Shortest paths from one source node: per-node distance and the
+/// observable mask accumulated along a shortest path.
+struct PathRow {
+    dist: Vec<f64>,
+    mask: Vec<u64>,
 }
 
 /// Max-heap entry for Dijkstra (reversed ordering on weight).
@@ -145,9 +159,9 @@ impl MwpmDecoder {
         self.num_detectors + 1
     }
 
-    /// Dijkstra from `source`, returning per-node distance and accumulated
+    /// Dijkstra from `source`: per-node distance and accumulated
     /// observable mask along a shortest path.
-    fn shortest_paths(&self, source: usize) -> (Vec<f64>, Vec<u64>) {
+    fn shortest_paths(&self, source: usize) -> PathRow {
         let mut dist = vec![f64::INFINITY; self.num_nodes()];
         let mut mask = vec![0u64; self.num_nodes()];
         let mut heap = BinaryHeap::new();
@@ -166,13 +180,25 @@ impl MwpmDecoder {
                 }
             }
         }
-        (dist, mask)
+        PathRow { dist, mask }
+    }
+
+    /// Matches `defects` given the shortest-path row of each, returning
+    /// the XOR of the observable masks of the matched paths: exactly up to
+    /// the cutoff, greedily beyond it.
+    fn match_defects(&self, defects: &[usize], rows: &[&PathRow]) -> u64 {
+        if defects.len() <= self.exact_limit {
+            self.match_exact(defects, rows).1
+        } else {
+            self.match_greedy(defects, rows)
+        }
     }
 
     /// Exact minimum-weight matching over `defects` (plus the boundary) by
-    /// bitmask dynamic programming. Returns the XOR of observable masks of
-    /// the matched paths.
-    fn match_exact(&self, defects: &[usize], dist: &[Vec<f64>], masks: &[Vec<u64>]) -> u64 {
+    /// bitmask dynamic programming. Returns the matching weight and the
+    /// XOR of observable masks of the matched paths (infinity and 0 when
+    /// no perfect matching exists).
+    fn match_exact(&self, defects: &[usize], rows: &[&PathRow]) -> (f64, u64) {
         let m = defects.len();
         let boundary = self.num_detectors;
         let full = 1usize << m;
@@ -188,50 +214,52 @@ impl MwpmDecoder {
             };
             // Option 1: match defect i to the boundary.
             let next = state | (1 << i);
-            let to_boundary = dist[i][boundary];
+            let row = rows[i];
+            let to_boundary = row.dist[boundary];
             if to_boundary.is_finite() && best[state] + to_boundary < best[next] {
                 best[next] = best[state] + to_boundary;
-                best_mask[next] = best_mask[state] ^ masks[i][boundary];
+                best_mask[next] = best_mask[state] ^ row.mask[boundary];
             }
             // Option 2: match defect i with another unmatched defect j.
-            for j in i + 1..m {
+            for (j, &other) in defects.iter().enumerate().skip(i + 1) {
                 if state & (1 << j) != 0 {
                     continue;
                 }
-                let pair_cost = dist[i][defects[j]];
+                let pair_cost = row.dist[other];
                 if !pair_cost.is_finite() {
                     continue;
                 }
                 let next = state | (1 << i) | (1 << j);
                 if best[state] + pair_cost < best[next] {
                     best[next] = best[state] + pair_cost;
-                    best_mask[next] = best_mask[state] ^ masks[i][defects[j]];
+                    best_mask[next] = best_mask[state] ^ row.mask[other];
                 }
             }
         }
         if best[full - 1].is_finite() {
-            best_mask[full - 1]
+            (best[full - 1], best_mask[full - 1])
         } else {
-            0
+            (f64::INFINITY, 0)
         }
     }
 
     /// Greedy matching used beyond the exact-matching size limit.
-    fn match_greedy(&self, defects: &[usize], dist: &[Vec<f64>], masks: &[Vec<u64>]) -> u64 {
+    fn match_greedy(&self, defects: &[usize], rows: &[&PathRow]) -> u64 {
         let m = defects.len();
         let boundary = self.num_detectors;
         let mut unmatched: Vec<usize> = (0..m).collect();
         let mut result = 0u64;
         while let Some(&first) = unmatched.first() {
-            let mut best_cost = dist[first][boundary];
+            let row = rows[first];
+            let mut best_cost = row.dist[boundary];
             let mut best_choice: Option<usize> = None;
-            let mut best_mask = masks[first][boundary];
+            let mut best_mask = row.mask[boundary];
             for &other in unmatched.iter().skip(1) {
-                let cost = dist[first][defects[other]];
+                let cost = row.dist[defects[other]];
                 if cost < best_cost {
                     best_cost = cost;
                     best_choice = Some(other);
-                    best_mask = masks[first][defects[other]];
+                    best_mask = row.mask[defects[other]];
                 }
             }
             if best_cost.is_finite() {
@@ -314,25 +342,47 @@ fn decompose(
     parts
 }
 
+/// The scalar oracle: a fresh Dijkstra from every defect of the shot.
 impl ObservableDecoder for MwpmDecoder {
     fn decode(&self, detectors: &BitVec) -> BitVec {
         let defects: Vec<usize> = detectors.ones().collect();
         if defects.is_empty() {
             return BitVec::zeros(self.num_observables);
         }
-        let mut dist = Vec::with_capacity(defects.len());
-        let mut masks = Vec::with_capacity(defects.len());
-        for &d in &defects {
-            let (dd, mm) = self.shortest_paths(d);
-            dist.push(dd);
-            masks.push(mm);
-        }
-        let result_mask = if defects.len() <= self.exact_limit {
-            self.match_exact(&defects, &dist, &masks)
-        } else {
-            self.match_greedy(&defects, &dist, &masks)
-        };
+        let rows: Vec<PathRow> = defects.iter().map(|&d| self.shortest_paths(d)).collect();
+        let rows: Vec<&PathRow> = rows.iter().collect();
+        let result_mask = self.match_defects(&defects, &rows);
         BitVec::from_bools((0..self.num_observables).map(|i| (result_mask >> i) & 1 == 1))
+    }
+}
+
+/// A shortest-path row depends only on its source, so one table of rows,
+/// filled on first use, serves every hard shot of the call. The table
+/// lives for the call only: decoders sit in the evaluator cache, and rows
+/// kept there would grow its memory with every cached model.
+impl ResidualDecoder for MwpmDecoder {
+    fn decode_residual(
+        &self,
+        transposed: &BitMatrix,
+        shot_indices: &[usize],
+        predictions: &mut BitMatrix,
+    ) {
+        let mut table: Vec<Option<PathRow>> = (0..self.num_nodes()).map(|_| None).collect();
+        let mut defects = Vec::new();
+        for &s in shot_indices {
+            defects.clear();
+            defects.extend(ones(transposed.row_words(s)));
+            for &d in &defects {
+                if table[d].is_none() {
+                    table[d] = Some(self.shortest_paths(d));
+                }
+            }
+            let rows: Vec<&PathRow> = defects.iter().filter_map(|&d| table[d].as_ref()).collect();
+            let mask = self.match_defects(&defects, &rows);
+            for o in ones(&[mask]) {
+                predictions.set(o, s, true);
+            }
+        }
     }
 }
 
@@ -443,18 +493,125 @@ mod tests {
         assert!(prediction.get(0));
     }
 
+    /// Brute-force minimum matching weight over `defects`: the lowest
+    /// unmatched defect pairs with the boundary or with any later
+    /// unmatched defect. Sums accumulate in the exact path's order (pairs
+    /// by their lowest defect), so the two minima agree to the bit.
+    fn brute_force_weight(rows: &[&PathRow], defects: &[usize], boundary: usize) -> f64 {
+        fn search(
+            rows: &[&PathRow],
+            defects: &[usize],
+            boundary: usize,
+            unmatched: u32,
+            acc: f64,
+        ) -> f64 {
+            let Some(i) = (0..defects.len()).find(|&i| unmatched & (1 << i) != 0) else {
+                return acc;
+            };
+            let rest = unmatched & !(1 << i);
+            let mut best = f64::INFINITY;
+            let to_boundary = rows[i].dist[boundary];
+            if to_boundary.is_finite() {
+                best = best.min(search(rows, defects, boundary, rest, acc + to_boundary));
+            }
+            for j in (i + 1..defects.len()).filter(|&j| rest & (1 << j) != 0) {
+                let pair = rows[i].dist[defects[j]];
+                if pair.is_finite() {
+                    best = best.min(search(rows, defects, boundary, rest & !(1 << j), acc + pair));
+                }
+            }
+            best
+        }
+        search(rows, defects, boundary, (1 << defects.len()) - 1, 0.0)
+    }
+
+    #[test]
+    fn exact_matching_reaches_the_brute_force_minimum_weight() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut checked = 0;
+        for _ in 0..60 {
+            let n = rng.gen_range(2..11usize);
+            let errors = (0..rng.gen_range(n..3 * n))
+                .map(|_| {
+                    let a = rng.gen_range(0..n);
+                    let b = rng.gen_range(0..n);
+                    let detectors = if a == b || rng.gen_range(0..4u32) == 0 {
+                        vec![a]
+                    } else {
+                        vec![a.min(b), a.max(b)]
+                    };
+                    let probability = 0.005 + 0.3 * rng.gen_range(0..1000u32) as f64 / 1000.0;
+                    let observables = if rng.gen_range(0..2u32) == 0 { vec![] } else { vec![0] };
+                    DemError { probability, detectors, observables }
+                })
+                .collect();
+            let decoder = MwpmDecoder::new(&DetectorErrorModel::from_parts(n, 1, errors));
+            for _ in 0..10 {
+                let mut defects: Vec<usize> =
+                    (0..rng.gen_range(1..9usize)).map(|_| rng.gen_range(0..n)).collect();
+                defects.sort_unstable();
+                defects.dedup();
+                let rows: Vec<PathRow> =
+                    defects.iter().map(|&d| decoder.shortest_paths(d)).collect();
+                let rows: Vec<&PathRow> = rows.iter().collect();
+                let (weight, _) = decoder.match_exact(&defects, &rows);
+                assert_eq!(weight, brute_force_weight(&rows, &defects, n), "defects {defects:?}");
+                checked += usize::from(weight.is_finite());
+            }
+        }
+        assert!(checked > 300, "only {checked} matchable defect sets");
+    }
+
     #[test]
     fn greedy_path_used_for_many_defects() {
-        // A long chain with 24 defects exercises the greedy fallback.
-        let n = 24;
+        // Six copies of one 4-detector block, all detectors firing: 24
+        // defects, past the exact cutoff of 20. Every edge flips its own
+        // observable, so the prediction spells out the matched edges. In
+        // each block greedy pairs detector 0 with its nearest neighbour 1
+        // (weight 2.94), which strands 2 and 3 on the boundary (3.51 and
+        // 0.85): 7.30 in all. The minimum matching sends 0 to the boundary
+        // and pairs 1 with 2 instead (3.18 + 1.39 + 0.85 = 5.41).
+        let blocks = 6;
         let mut errors = Vec::new();
-        for i in 0..n {
-            errors.push(DemError { probability: 0.01, detectors: vec![i], observables: vec![] });
+        for b in 0..blocks {
+            let (d, o) = (4 * b, 5 * b);
+            for (detectors, probability, observables) in [
+                (vec![d, d + 1], 0.05, vec![o]),
+                (vec![d + 1, d + 2], 0.2, vec![o + 1]),
+                (vec![d + 2, d + 3], 1e-4, vec![]),
+                (vec![d], 0.04, vec![o + 2]),
+                (vec![d + 1], 1e-4, vec![]),
+                (vec![d + 2], 0.029, vec![o + 3]),
+                (vec![d + 3], 0.3, vec![o + 4]),
+            ] {
+                errors.push(DemError { probability, detectors, observables });
+            }
         }
-        let dem = DetectorErrorModel::from_parts(n, 1, errors);
-        let decoder = MwpmDecoder::new(&dem);
+        let (n, num_observables) = (4 * blocks, 5 * blocks);
+        let decoder = MwpmDecoder::new(&DetectorErrorModel::from_parts(n, num_observables, errors));
+        // Greedy's matching per block: (0,1) -> observable 0, (2,boundary)
+        // -> 3, (3,boundary) -> 4. It matches every defect exactly once.
+        let greedy: [(usize, Option<usize>, usize); 3] =
+            [(0, Some(1), 0), (2, None, 3), (3, None, 4)];
+        let mut matched = vec![0; n];
+        let mut expected = Vec::new();
+        for b in 0..blocks {
+            for &(u, v, observable) in &greedy {
+                matched[4 * b + u] += 1;
+                if let Some(v) = v {
+                    matched[4 * b + v] += 1;
+                }
+                expected.push(5 * b + observable);
+            }
+        }
+        assert!(matched.iter().all(|&count| count == 1));
         let all: Vec<usize> = (0..n).collect();
         let prediction = decoder.decode(&BitVec::from_indices(n, &all));
-        assert_eq!(prediction.len(), 1);
+        assert_eq!(prediction, BitVec::from_indices(num_observables, &expected));
+        // One block alone stays under the cutoff and gets the minimum
+        // matching: (0,boundary) -> 2, (1,2) -> 1, (3,boundary) -> 4.
+        let prediction = decoder.decode(&BitVec::from_indices(n, &[0, 1, 2, 3]));
+        assert_eq!(prediction, BitVec::from_indices(num_observables, &[1, 2, 4]));
     }
 }

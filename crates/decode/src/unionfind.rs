@@ -1,9 +1,11 @@
 //! Hypergraph union-find decoder.
 
-use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
-use asynd_pauli::{BinMatrix, BitVec};
+use std::cmp::Ordering;
 
-use crate::common::{CachedDecoder, DecodeMatrix};
+use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
+use asynd_pauli::BitVec;
+
+use crate::common::{ones, CachedDecoder, DecodeMatrix};
 
 /// Hypergraph union-find decoder.
 ///
@@ -17,6 +19,15 @@ use crate::common::{CachedDecoder, DecodeMatrix};
 /// of union-find to hypergraph error models used for LDPC codes. Valid
 /// clusters freeze — they stop growing and their solve result is memoised
 /// — so per-round work tracks only the clusters that are still unexplained.
+///
+/// Each cluster solve is one reduced row echelon pass over the augmented
+/// cluster system `[A | b]` in flat `u64` words, with columns in
+/// reliability order: it gives the validity test, a particular solution
+/// and the kernel basis together. One refinement loop over word slices
+/// then moves towards the cheapest explanation (lowest sum of prior LLRs):
+/// every kernel combination for kernels of up to 12 vectors, otherwise
+/// three greedy sweeps. All buffers come from one scratch per decode, so a
+/// solve allocates nothing once they have grown to the largest cluster.
 ///
 /// # Example
 ///
@@ -63,27 +74,491 @@ impl UnionFindDecoder {
 
     /// Solves one cluster: finds a set of contained mechanisms reproducing
     /// the cluster-internal syndrome, returning their combined observable
-    /// mask, or `None` if the cluster is still invalid.
+    /// mask, or `None` if the cluster is still invalid. The chosen
+    /// mechanisms are left in `scratch.best` as a bit set over the
+    /// positions of `cluster_errors`.
+    ///
+    /// One reduced row echelon pass over the augmented `[A | b]` yields
+    /// the validity test, a particular solution and the kernel basis at
+    /// once: pivots are picked column by column from the first row at or
+    /// below the pivot row, so they never depend on `b`, and a pivot in
+    /// the `b` column means the syndrome is not reproducible.
     fn solve_cluster(
         &self,
         cluster_detectors: &[usize],
         cluster_errors: &[usize],
         syndrome: &BitVec,
+        scratch: &mut SolveScratch,
     ) -> Option<u64> {
+        let s = scratch;
+        s.best.clear();
         if cluster_errors.is_empty() {
             // Valid only if no detection event sits inside.
             return if cluster_detectors.iter().any(|&d| syndrome.get(d)) { None } else { Some(0) };
         }
+        let rows = cluster_detectors.len();
+        let cols = cluster_errors.len();
+        s.llrs.clear();
+        s.llrs.extend(cluster_errors.iter().map(|&j| self.matrix.prior_llr(j).max(1e-3)));
+        // Reliability-ordered local solve (local OSD-0): the system's
+        // columns put the most likely mechanisms first so the particular
+        // solution prefers them. `order[p]` is the cluster column at
+        // system position `p`.
+        s.order.clear();
+        s.order.extend(0..cols);
+        let llrs = &s.llrs;
+        s.order.sort_by(|&a, &b| llrs[a].partial_cmp(&llrs[b]).unwrap_or(Ordering::Equal));
+        // Augmented system, row-major in flat words: row `r` is cluster
+        // detector `r`, bit `cols` its syndrome bit.
+        let stride = (cols + 1).div_ceil(WORD);
+        s.system.clear();
+        s.system.resize(rows * stride, 0);
+        for (r, &d) in cluster_detectors.iter().enumerate() {
+            s.detector_row[d] = r;
+        }
+        for (pos, &col) in s.order.iter().enumerate() {
+            for &d in self.matrix.column(cluster_errors[col]) {
+                let r = s.detector_row[d];
+                if r != usize::MAX {
+                    s.system[r * stride + pos / WORD] |= 1 << (pos % WORD);
+                }
+            }
+        }
+        for (r, &d) in cluster_detectors.iter().enumerate() {
+            if syndrome.get(d) {
+                s.system[r * stride + cols / WORD] |= 1 << (cols % WORD);
+            }
+            s.detector_row[d] = usize::MAX;
+        }
+        s.pivots.clear();
+        for col in 0..=cols {
+            let pivot_row = s.pivots.len();
+            if pivot_row >= rows {
+                break;
+            }
+            let (w, bit) = (col / WORD, 1u64 << (col % WORD));
+            let Some(found) = (pivot_row..rows).find(|&r| s.system[r * stride + w] & bit != 0)
+            else {
+                continue;
+            };
+            if found != pivot_row {
+                for i in 0..stride {
+                    s.system.swap(pivot_row * stride + i, found * stride + i);
+                }
+            }
+            // Rows at or below the pivot row are zero left of `col`, so
+            // clearing the column only needs the words from `w` on.
+            for r in (0..rows).filter(|&r| r != pivot_row) {
+                if s.system[r * stride + w] & bit != 0 {
+                    for i in w..stride {
+                        s.system[r * stride + i] ^= s.system[pivot_row * stride + i];
+                    }
+                }
+            }
+            s.pivots.push(col);
+        }
+        if s.pivots.last() == Some(&cols) {
+            return None;
+        }
+        // Particular solution and kernel basis, mapped back to cluster
+        // columns so costs sum in ascending column order.
+        let words = cols.div_ceil(WORD);
+        let set = |v: &mut [u64], pos: usize| {
+            let col = s.order[pos];
+            v[col / WORD] |= 1 << (col % WORD);
+        };
+        s.best.resize(words, 0);
+        for (r, &pivot) in s.pivots.iter().enumerate() {
+            if s.system[r * stride + cols / WORD] >> (cols % WORD) & 1 == 1 {
+                set(&mut s.best, pivot);
+            }
+        }
+        // Kernel basis: one vector per free position `f`, holding `f` and
+        // every pivot whose reduced row has a 1 at `f`, so one walk over
+        // the set bits of the reduced rows fills every vector.
+        let kernel_len = cols - s.pivots.len();
+        s.kernel.clear();
+        s.kernel.resize(kernel_len * words, 0);
+        s.slot.clear();
+        s.slot.resize(cols, usize::MAX);
+        let mut pivots = s.pivots.iter().peekable();
+        let mut k = 0;
+        for free in 0..cols {
+            if pivots.next_if_eq(&&free).is_none() {
+                s.slot[free] = k;
+                set(&mut s.kernel[k * words..(k + 1) * words], free);
+                k += 1;
+            }
+        }
+        for (r, &pivot) in s.pivots.iter().enumerate() {
+            // A reduced row's first set bit is its pivot and its last may
+            // be the syndrome bit; the ones between are free positions.
+            let row = &s.system[r * stride..(r + 1) * stride];
+            for free in ones(row).skip(1).take_while(|&pos| pos < cols) {
+                let k = s.slot[free];
+                set(&mut s.kernel[k * words..(k + 1) * words], pivot);
+            }
+        }
+        // Among the consistent explanations inside the cluster, refine
+        // towards the most likely one: exhaustively for small kernels (in
+        // ascending subset order, each candidate one XOR off a prefix
+        // table), greedily otherwise. Strict `<` keeps the earlier
+        // candidate on ties.
+        let mut best_cost = cost(llrs, &s.best, f64::INFINITY);
+        if kernel_len <= 12 {
+            s.candidates.clear();
+            s.candidates.extend_from_slice(&s.best);
+            let mut best_bits = 0;
+            for bits in 1usize..(1 << kernel_len) {
+                let base = (bits & (bits - 1)) * words;
+                let basis = bits.trailing_zeros() as usize * words;
+                for i in 0..words {
+                    let word = s.candidates[base + i] ^ s.kernel[basis + i];
+                    s.candidates.push(word);
+                }
+                let c = cost(llrs, &s.candidates[bits * words..], best_cost);
+                if c < best_cost {
+                    best_cost = c;
+                    best_bits = bits;
+                }
+            }
+            s.best.copy_from_slice(&s.candidates[best_bits * words..(best_bits + 1) * words]);
+        } else {
+            for _sweep in 0..3 {
+                let mut improved = false;
+                for vector in s.kernel.chunks_exact(words) {
+                    s.candidates.clear();
+                    s.candidates.extend(s.best.iter().zip(vector).map(|(a, b)| a ^ b));
+                    let c = cost(llrs, &s.candidates, best_cost);
+                    if c < best_cost {
+                        best_cost = c;
+                        std::mem::swap(&mut s.best, &mut s.candidates);
+                        improved = true;
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+        }
+        Some(
+            ones(&s.best)
+                .fold(0, |mask, col| mask ^ self.matrix.observable_mask(cluster_errors[col])),
+        )
+    }
+}
+
+/// Bits per system word.
+const WORD: usize = 64;
+
+/// Sum of the LLRs of the columns set in `x`, added in ascending column
+/// order. Stops as soon as the partial sum reaches `bound`: every LLR is
+/// positive, so rounded partial sums never decrease and the full sum
+/// could not fall below `bound` either.
+fn cost(llrs: &[f64], x: &[u64], bound: f64) -> f64 {
+    let mut total = 0.0;
+    for (w, &word) in x.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            total += llrs[w * WORD + rest.trailing_zeros() as usize];
+            if total >= bound {
+                return total;
+            }
+            rest &= rest - 1;
+        }
+    }
+    total
+}
+
+/// Buffers shared by every cluster solve of one decode, so a solve
+/// allocates nothing once they have grown to the largest cluster.
+#[derive(Default)]
+struct SolveScratch {
+    /// Row of every cluster detector in the local system; `usize::MAX`
+    /// between solves.
+    detector_row: Vec<usize>,
+    /// Prior LLR of every cluster column.
+    llrs: Vec<f64>,
+    /// Cluster column at every system position.
+    order: Vec<usize>,
+    /// The augmented system, row-major.
+    system: Vec<u64>,
+    /// Pivot column of every nonzero reduced row.
+    pivots: Vec<usize>,
+    /// Kernel vector of every free system position; `usize::MAX` at
+    /// pivots.
+    slot: Vec<usize>,
+    /// Kernel basis over cluster columns, one vector after another.
+    kernel: Vec<u64>,
+    /// Best explanation so far over cluster columns.
+    best: Vec<u64>,
+    /// Candidate explanations: the prefix table of exhaustive refinement,
+    /// or the one candidate of a greedy step.
+    candidates: Vec<u64>,
+}
+
+impl SolveScratch {
+    fn new(num_detectors: usize) -> Self {
+        SolveScratch { detector_row: vec![usize::MAX; num_detectors], ..Default::default() }
+    }
+}
+
+impl ObservableDecoder for UnionFindDecoder {
+    fn decode(&self, detectors: &BitVec) -> BitVec {
+        let m = &self.matrix;
+        if !detectors.any() || m.num_errors() == 0 {
+            return BitVec::zeros(m.num_observables());
+        }
+        let mut scratch = SolveScratch::new(m.num_detectors());
+        let mask = self.grow_clusters(detectors, |cluster_detectors, cluster_errors| {
+            self.solve_cluster(cluster_detectors, cluster_errors, detectors, &mut scratch)
+        });
+        m.mask_to_bitvec(mask)
+    }
+}
+
+impl UnionFindDecoder {
+    /// Grows clusters from the detection events of a non-empty syndrome
+    /// until every cluster is valid (or can grow no further), solving each
+    /// changed cluster with `solve(detectors, errors)` (both sorted), and
+    /// returns the XOR of the valid clusters' observable masks.
+    fn grow_clusters(
+        &self,
+        detectors: &BitVec,
+        mut solve: impl FnMut(&[usize], &[usize]) -> Option<u64>,
+    ) -> u64 {
+        let m = &self.matrix;
+        // One singleton cluster per detection event. Clusters that reach a
+        // valid explanation freeze: they neither grow nor re-solve unless
+        // an invalid neighbour grows into them (then the merged cluster is
+        // marked dirty and solved afresh). This keeps clusters local and
+        // the per-round work proportional to what actually changed.
+        let mut cluster_of = vec![usize::MAX; m.num_detectors()];
+        let mut scanned = vec![false; m.num_detectors()];
+        let mut error_absorbed = vec![false; m.num_errors()];
+        let mut clusters: Vec<Cluster> = Vec::new();
+        for d in detectors.ones() {
+            cluster_of[d] = clusters.len();
+            clusters.push(Cluster {
+                detectors: vec![d],
+                errors: Vec::new(),
+                valid_mask: None,
+                dirty: true,
+                live: true,
+            });
+        }
+        loop {
+            // Solve phase: re-solve only the clusters whose membership
+            // changed since the last round.
+            let mut all_valid = true;
+            for cluster in &mut clusters {
+                if !cluster.live {
+                    continue;
+                }
+                if cluster.dirty {
+                    cluster.detectors.sort_unstable();
+                    cluster.errors.sort_unstable();
+                    cluster.valid_mask = solve(&cluster.detectors, &cluster.errors);
+                    cluster.dirty = false;
+                }
+                if cluster.valid_mask.is_none() {
+                    all_valid = false;
+                }
+            }
+            if all_valid {
+                break;
+            }
+            // Growth phase: every invalid cluster scans its not-yet-scanned
+            // detectors once (one frontier layer per round), absorbing each
+            // incident error together with that error's other detectors.
+            // Touching a foreign cluster merges it into the grower.
+            let mut progressed = false;
+            for ci in 0..clusters.len() {
+                if !clusters[ci].live || clusters[ci].valid_mask.is_some() {
+                    continue;
+                }
+                let frontier: Vec<usize> =
+                    clusters[ci].detectors.iter().copied().filter(|&d| !scanned[d]).collect();
+                for d in frontier {
+                    scanned[d] = true;
+                    progressed = true;
+                    for &j in m.row(d) {
+                        if error_absorbed[j] {
+                            continue;
+                        }
+                        error_absorbed[j] = true;
+                        clusters[ci].errors.push(j);
+                        clusters[ci].dirty = true;
+                        for &dd in m.column(j) {
+                            let prev = cluster_of[dd];
+                            if prev == usize::MAX {
+                                cluster_of[dd] = ci;
+                                clusters[ci].detectors.push(dd);
+                            } else if prev != ci {
+                                let mut other = std::mem::take(&mut clusters[prev]);
+                                for &od in &other.detectors {
+                                    cluster_of[od] = ci;
+                                }
+                                clusters[ci].detectors.append(&mut other.detectors);
+                                clusters[ci].errors.append(&mut other.errors);
+                                clusters[ci].dirty = true;
+                            }
+                        }
+                    }
+                }
+            }
+            if !progressed {
+                // Every invalid cluster has exhausted its neighbourhood;
+                // give up with the valid clusters' best effort.
+                break;
+            }
+        }
+        clusters.iter().filter(|c| c.live).fold(0, |mask, c| mask ^ c.valid_mask.unwrap_or(0))
+    }
+}
+
+/// Factory for [`UnionFindDecoder`] (wrapped in a memoisation cache).
+#[derive(Debug, Clone, Default)]
+pub struct UnionFindFactory {
+    _private: (),
+}
+
+impl UnionFindFactory {
+    /// Creates the factory.
+    pub fn new() -> Self {
+        UnionFindFactory { _private: () }
+    }
+}
+
+impl DecoderFactory for UnionFindFactory {
+    fn name(&self) -> &str {
+        "unionfind"
+    }
+
+    fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
+        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
+    }
+
+    fn build_batch(
+        &self,
+        dem: &DetectorErrorModel,
+    ) -> Box<dyn asynd_circuit::BatchObservableDecoder> {
+        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asynd_circuit::DemError;
+    use asynd_pauli::BinMatrix;
+
+    fn chain_dem() -> DetectorErrorModel {
+        DetectorErrorModel::from_parts(
+            3,
+            1,
+            vec![
+                DemError { probability: 0.01, detectors: vec![0], observables: vec![] },
+                DemError { probability: 0.01, detectors: vec![0, 1], observables: vec![] },
+                DemError { probability: 0.01, detectors: vec![1, 2], observables: vec![] },
+                DemError { probability: 0.01, detectors: vec![2], observables: vec![0] },
+            ],
+        )
+    }
+
+    #[test]
+    fn quiet_syndrome_is_trivial() {
+        let decoder = UnionFindDecoder::new(&chain_dem());
+        assert!(!decoder.decode(&BitVec::zeros(3)).any());
+    }
+
+    #[test]
+    fn single_mechanism_syndromes_are_consistent() {
+        // Union-find must return *some* consistent explanation; for the
+        // unambiguous signatures below the explanation is unique.
+        let dem = chain_dem();
+        let decoder = UnionFindDecoder::new(&dem);
+        // Defects {0,1}: the only explanation inside the first growth
+        // neighbourhood is mechanism 1, which flips nothing.
+        assert!(!decoder.decode(&BitVec::from_indices(3, &[0, 1])).any());
+        // Defects {1,2}: mechanism 2, no observable.
+        assert!(!decoder.decode(&BitVec::from_indices(3, &[1, 2])).any());
+    }
+
+    #[test]
+    fn cluster_growth_reaches_a_valid_explanation() {
+        let dem = chain_dem();
+        let decoder = UnionFindDecoder::new(&dem);
+        for error in dem.errors() {
+            let detectors = BitVec::from_indices(3, &error.detectors);
+            let prediction = decoder.decode(&detectors);
+            // The prediction must correspond to *a* valid explanation of the
+            // syndrome; verify consistency by re-projecting through the DEM:
+            // any explanation of a weight-1-mechanism syndrome within this
+            // chain differs from the truth only by a detector-trivial cycle,
+            // which does not exist here, so the observables must match.
+            assert_eq!(
+                prediction,
+                BitVec::from_indices(1, &error.observables),
+                "failed for {:?}",
+                error.detectors
+            );
+        }
+    }
+
+    #[test]
+    fn hyperedge_cluster_is_solved() {
+        let dem = DetectorErrorModel::from_parts(
+            4,
+            1,
+            vec![DemError { probability: 0.01, detectors: vec![0, 1, 2, 3], observables: vec![0] }],
+        );
+        let decoder = UnionFindDecoder::new(&dem);
+        let prediction = decoder.decode(&BitVec::from_indices(4, &[0, 1, 2, 3]));
+        assert!(prediction.get(0));
+    }
+
+    #[test]
+    fn unexplainable_syndrome_does_not_loop_forever() {
+        // A detector with no incident error cannot be explained; the decoder
+        // must terminate and return something.
+        let dem = DetectorErrorModel::from_parts(
+            2,
+            1,
+            vec![DemError { probability: 0.01, detectors: vec![0], observables: vec![0] }],
+        );
+        let decoder = UnionFindDecoder::new(&dem);
+        let _ = decoder.decode(&BitVec::from_indices(2, &[1]));
+    }
+
+    /// The cluster solver before the single-elimination rewrite, kept
+    /// verbatim as the oracle apart from two edits: the matrix is an
+    /// argument instead of a field, and it returns the chosen mechanisms
+    /// instead of their observable mask.
+    fn reference_solve_cluster(
+        matrix: &DecodeMatrix,
+        cluster_detectors: &[usize],
+        cluster_errors: &[usize],
+        syndrome: &BitVec,
+    ) -> Option<Vec<usize>> {
+        if cluster_errors.is_empty() {
+            // Valid only if no detection event sits inside.
+            return if cluster_detectors.iter().any(|&d| syndrome.get(d)) {
+                None
+            } else {
+                Some(Vec::new())
+            };
+        }
         // Local system: rows = cluster detectors, columns = cluster errors.
         // Dense scatter table instead of a HashMap: clusters are re-solved
         // many times per decode and the detector count is small.
-        let mut detector_position = vec![usize::MAX; self.matrix.num_detectors()];
+        let mut detector_position = vec![usize::MAX; matrix.num_detectors()];
         for (i, &d) in cluster_detectors.iter().enumerate() {
             detector_position[d] = i;
         }
         let mut rows = vec![Vec::new(); cluster_detectors.len()];
         for (col, &j) in cluster_errors.iter().enumerate() {
-            for &d in self.matrix.column(j) {
+            for &d in matrix.column(j) {
                 let row = detector_position[d];
                 if row != usize::MAX {
                     rows[row].push(col);
@@ -91,7 +566,7 @@ impl UnionFindDecoder {
             }
         }
         let llrs: Vec<f64> =
-            cluster_errors.iter().map(|&j| self.matrix.prior_llr(j).max(1e-3)).collect();
+            cluster_errors.iter().map(|&j| matrix.prior_llr(j).max(1e-3)).collect();
         // Reliability-ordered local solve (local OSD-0): place the most
         // likely columns first so the particular solution prefers them.
         let mut order: Vec<usize> = (0..cluster_errors.len()).collect();
@@ -214,222 +689,93 @@ impl UnionFindDecoder {
             }
             best.ones().map(|col| cluster_errors[col]).collect()
         };
-        Some(self.matrix.observables_of(&chosen))
+        Some(chosen)
     }
-}
 
-impl ObservableDecoder for UnionFindDecoder {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let m = &self.matrix;
-        if !detectors.any() || m.num_errors() == 0 {
-            return BitVec::zeros(m.num_observables());
-        }
-        // One singleton cluster per detection event. Clusters that reach a
-        // valid explanation freeze: they neither grow nor re-solve unless
-        // an invalid neighbour grows into them (then the merged cluster is
-        // marked dirty and solved afresh). This keeps clusters local and
-        // the per-round work proportional to what actually changed.
-        let mut cluster_of = vec![usize::MAX; m.num_detectors()];
-        let mut scanned = vec![false; m.num_detectors()];
-        let mut error_absorbed = vec![false; m.num_errors()];
-        let mut clusters: Vec<Cluster> = Vec::new();
-        for d in detectors.ones() {
-            cluster_of[d] = clusters.len();
-            clusters.push(Cluster {
-                detectors: vec![d],
-                errors: Vec::new(),
-                valid_mask: None,
-                dirty: true,
-                live: true,
+    /// How many harvested solves fell into each regime the oracle must
+    /// cover.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        solves: usize,
+        invalid: usize,
+        wide: usize,
+        small_kernel: usize,
+        large_kernel: usize,
+        tied: usize,
+    }
+
+    /// Decodes every syndrome with the new solver while replaying each
+    /// cluster solve through the reference: both must pick the same
+    /// mechanisms, and those must reproduce the cluster-internal syndrome.
+    fn compare_with_reference(dem: &DetectorErrorModel, syndromes: &[BitVec], seen: &mut Coverage) {
+        let decoder = UnionFindDecoder::new(dem);
+        let m = &decoder.matrix;
+        let mut scratch = SolveScratch::new(m.num_detectors());
+        for syndrome in syndromes.iter().filter(|s| s.any()) {
+            decoder.grow_clusters(syndrome, |detectors, errors| {
+                let mask = decoder.solve_cluster(detectors, errors, syndrome, &mut scratch);
+                let reference = reference_solve_cluster(m, detectors, errors, syndrome);
+                seen.solves += 1;
+                let Some(expected) = reference else {
+                    assert_eq!(mask, None, "cluster {detectors:?} / {errors:?}");
+                    seen.invalid += 1;
+                    return mask;
+                };
+                let chosen: Vec<usize> = ones(&scratch.best).map(|col| errors[col]).collect();
+                assert_eq!(chosen, expected, "cluster {detectors:?} / {errors:?}");
+                assert_eq!(mask, Some(m.observables_of(&expected)));
+                let produced = m.syndrome_of(&chosen);
+                assert!(produced.ones().all(|d| detectors.binary_search(&d).is_ok()));
+                assert!(detectors.iter().all(|&d| produced.get(d) == syndrome.get(d)));
+                if !errors.is_empty() {
+                    let kernel = errors.len() - scratch.pivots.len();
+                    seen.wide += usize::from(errors.len() > 64);
+                    seen.small_kernel += usize::from(kernel > 0 && kernel <= 12);
+                    seen.large_kernel += usize::from(kernel > 12);
+                    let mut llrs = scratch.llrs.clone();
+                    llrs.sort_by(f64::total_cmp);
+                    seen.tied += usize::from(llrs.windows(2).any(|w| w[0] == w[1]));
+                }
+                mask
             });
         }
-        loop {
-            // Solve phase: re-solve only the clusters whose membership
-            // changed since the last round.
-            let mut all_valid = true;
-            for cluster in &mut clusters {
-                if !cluster.live {
-                    continue;
+    }
+
+    #[test]
+    fn cluster_solver_matches_the_binmatrix_reference_on_catalog_dems() {
+        use asynd_circuit::NoiseModel;
+        use asynd_codes::catalog::family_by_name;
+        use asynd_core::{LowestDepthScheduler, Scheduler};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut seen = Coverage::default();
+        for (family, index) in [("xzzx", 1), ("hgp", 0), ("rotated-surface", 1)] {
+            let code = &family_by_name(family).expect("catalog family")[index].code;
+            let schedule = LowestDepthScheduler::new().schedule(code).unwrap();
+            for noise in [NoiseModel::scaled(1e-3), NoiseModel::brisbane()] {
+                let dem = DetectorErrorModel::build(code, &schedule, &noise).unwrap();
+                let n = dem.num_detectors();
+                let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+                // Sampled shots, then random detector sets of weight 2-12
+                // that grow clusters far past what low noise produces.
+                let batch =
+                    asynd_sim::BatchSampler::new(&dem.to_frame_model()).sample(64, &mut rng);
+                let mut syndromes: Vec<BitVec> =
+                    (0..batch.num_shots()).map(|s| batch.shot_detectors(s)).collect();
+                for _ in 0..40 {
+                    let weight = rng.gen_range(2..13usize);
+                    let indices: Vec<usize> = (0..weight).map(|_| rng.gen_range(0..n)).collect();
+                    syndromes.push(BitVec::from_indices(n, &indices));
                 }
-                if cluster.dirty {
-                    cluster.detectors.sort_unstable();
-                    cluster.errors.sort_unstable();
-                    let mask = self.solve_cluster(&cluster.detectors, &cluster.errors, detectors);
-                    cluster.valid_mask = mask;
-                    cluster.dirty = false;
-                }
-                if cluster.valid_mask.is_none() {
-                    all_valid = false;
-                }
-            }
-            if all_valid {
-                break;
-            }
-            // Growth phase: every invalid cluster scans its not-yet-scanned
-            // detectors once (one frontier layer per round), absorbing each
-            // incident error together with that error's other detectors.
-            // Touching a foreign cluster merges it into the grower.
-            let mut progressed = false;
-            for ci in 0..clusters.len() {
-                if !clusters[ci].live || clusters[ci].valid_mask.is_some() {
-                    continue;
-                }
-                let frontier: Vec<usize> =
-                    clusters[ci].detectors.iter().copied().filter(|&d| !scanned[d]).collect();
-                for d in frontier {
-                    scanned[d] = true;
-                    progressed = true;
-                    for &j in m.row(d) {
-                        if error_absorbed[j] {
-                            continue;
-                        }
-                        error_absorbed[j] = true;
-                        clusters[ci].errors.push(j);
-                        clusters[ci].dirty = true;
-                        for &dd in m.column(j) {
-                            let prev = cluster_of[dd];
-                            if prev == usize::MAX {
-                                cluster_of[dd] = ci;
-                                clusters[ci].detectors.push(dd);
-                            } else if prev != ci {
-                                let mut other = std::mem::take(&mut clusters[prev]);
-                                for &od in &other.detectors {
-                                    cluster_of[od] = ci;
-                                }
-                                clusters[ci].detectors.append(&mut other.detectors);
-                                clusters[ci].errors.append(&mut other.errors);
-                                clusters[ci].dirty = true;
-                            }
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                // Every invalid cluster has exhausted its neighbourhood;
-                // give up with the valid clusters' best effort.
-                break;
+                compare_with_reference(&dem, &syndromes, &mut seen);
             }
         }
-        let mut result_mask = 0u64;
-        for c in &clusters {
-            if c.live {
-                result_mask ^= c.valid_mask.unwrap_or(0);
-            }
-        }
-        m.mask_to_bitvec(result_mask)
-    }
-}
-
-/// Factory for [`UnionFindDecoder`] (wrapped in a memoisation cache).
-#[derive(Debug, Clone, Default)]
-pub struct UnionFindFactory {
-    _private: (),
-}
-
-impl UnionFindFactory {
-    /// Creates the factory.
-    pub fn new() -> Self {
-        UnionFindFactory { _private: () }
-    }
-}
-
-impl DecoderFactory for UnionFindFactory {
-    fn name(&self) -> &str {
-        "unionfind"
-    }
-
-    fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
-        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
-    }
-
-    fn build_batch(
-        &self,
-        dem: &DetectorErrorModel,
-    ) -> Box<dyn asynd_circuit::BatchObservableDecoder> {
-        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use asynd_circuit::DemError;
-
-    fn chain_dem() -> DetectorErrorModel {
-        DetectorErrorModel::from_parts(
-            3,
-            1,
-            vec![
-                DemError { probability: 0.01, detectors: vec![0], observables: vec![] },
-                DemError { probability: 0.01, detectors: vec![0, 1], observables: vec![] },
-                DemError { probability: 0.01, detectors: vec![1, 2], observables: vec![] },
-                DemError { probability: 0.01, detectors: vec![2], observables: vec![0] },
-            ],
-        )
-    }
-
-    #[test]
-    fn quiet_syndrome_is_trivial() {
-        let decoder = UnionFindDecoder::new(&chain_dem());
-        assert!(!decoder.decode(&BitVec::zeros(3)).any());
-    }
-
-    #[test]
-    fn single_mechanism_syndromes_are_consistent() {
-        // Union-find must return *some* consistent explanation; for the
-        // unambiguous signatures below the explanation is unique.
-        let dem = chain_dem();
-        let decoder = UnionFindDecoder::new(&dem);
-        // Defects {0,1}: the only explanation inside the first growth
-        // neighbourhood is mechanism 1, which flips nothing.
-        assert!(!decoder.decode(&BitVec::from_indices(3, &[0, 1])).any());
-        // Defects {1,2}: mechanism 2, no observable.
-        assert!(!decoder.decode(&BitVec::from_indices(3, &[1, 2])).any());
-    }
-
-    #[test]
-    fn cluster_growth_reaches_a_valid_explanation() {
-        let dem = chain_dem();
-        let decoder = UnionFindDecoder::new(&dem);
-        for error in dem.errors() {
-            let detectors = BitVec::from_indices(3, &error.detectors);
-            let prediction = decoder.decode(&detectors);
-            // The prediction must correspond to *a* valid explanation of the
-            // syndrome; verify consistency by re-projecting through the DEM:
-            // any explanation of a weight-1-mechanism syndrome within this
-            // chain differs from the truth only by a detector-trivial cycle,
-            // which does not exist here, so the observables must match.
-            assert_eq!(
-                prediction,
-                BitVec::from_indices(1, &error.observables),
-                "failed for {:?}",
-                error.detectors
-            );
-        }
-    }
-
-    #[test]
-    fn hyperedge_cluster_is_solved() {
-        let dem = DetectorErrorModel::from_parts(
-            4,
-            1,
-            vec![DemError { probability: 0.01, detectors: vec![0, 1, 2, 3], observables: vec![0] }],
-        );
-        let decoder = UnionFindDecoder::new(&dem);
-        let prediction = decoder.decode(&BitVec::from_indices(4, &[0, 1, 2, 3]));
-        assert!(prediction.get(0));
-    }
-
-    #[test]
-    fn unexplainable_syndrome_does_not_loop_forever() {
-        // A detector with no incident error cannot be explained; the decoder
-        // must terminate and return something.
-        let dem = DetectorErrorModel::from_parts(
-            2,
-            1,
-            vec![DemError { probability: 0.01, detectors: vec![0], observables: vec![0] }],
-        );
-        let decoder = UnionFindDecoder::new(&dem);
-        let _ = decoder.decode(&BitVec::from_indices(2, &[1]));
+        eprintln!("{seen:?}");
+        assert!(seen.invalid > 0, "{seen:?}");
+        assert!(seen.wide > 0, "{seen:?}");
+        assert!(seen.small_kernel > 0, "{seen:?}");
+        assert!(seen.large_kernel > 0, "{seen:?}");
+        assert!(seen.tied > 0, "{seen:?}");
     }
 }

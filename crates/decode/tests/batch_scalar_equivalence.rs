@@ -6,8 +6,9 @@
 //! crate. This suite fuzzes that contract across random detector error
 //! models and shot counts straddling the 64-shot word boundary, random
 //! models whose mechanisms share one probability (so BP message
-//! magnitudes tie at every iteration), and real catalog colour-code
-//! models whose detector rows reach ~80 mechanisms.
+//! magnitudes tie at every iteration), real catalog colour-code models
+//! whose detector rows reach ~80 mechanisms, and catalog surface, xzzx and
+//! hypergraph-product models for the MWPM and union-find residual paths.
 
 use asynd_circuit::{DemError, DetectorErrorModel, NoiseModel};
 use asynd_codes::catalog::family_by_name;
@@ -132,6 +133,33 @@ fn bposd_batch_matches_scalar_on_catalog_colour_codes() {
                 let decoder = BpOsdDecoder::new(&dem, 30, 0);
                 assert_batch_matches_scalar(&decoder, &dem, 130, seed);
             }
+        }
+    }
+}
+
+/// MWPM's per-call shortest-path table and union-find's cluster solver
+/// against the scalar oracle on catalog models, where the random models'
+/// twelve detectors are far exceeded: MWPM on rotated-surface d=5 and
+/// defect-surface [[25,2,4]], union-find on xzzx d=5 and hgp [[27,4,3]],
+/// lowest-depth schedule, at a low and a high physical rate. The high rate
+/// gives most shots several defects, so the shared MWPM rows serve many
+/// hard shots of one call.
+#[test]
+fn matching_family_batch_matches_scalar_on_catalog_codes() {
+    type Build = fn(&DetectorErrorModel) -> Box<dyn BatchDecoder>;
+    let mwpm: Build = |dem| Box::new(MwpmDecoder::new(dem));
+    let unionfind: Build = |dem| Box::new(UnionFindDecoder::new(dem));
+    for (family, index, build) in [
+        ("rotated-surface", 1, mwpm),
+        ("defect-surface", 0, mwpm),
+        ("xzzx", 1, unionfind),
+        ("hgp", 0, unionfind),
+    ] {
+        let code = &family_by_name(family).expect("catalog family")[index].code;
+        let schedule = LowestDepthScheduler::new().schedule(code).unwrap();
+        for (seed, p) in [(21, 1e-3), (22, 7.4e-3)] {
+            let dem = DetectorErrorModel::build(code, &schedule, &NoiseModel::scaled(p)).unwrap();
+            assert_batch_matches_scalar(build(&dem).as_ref(), &dem, 130, seed);
         }
     }
 }

@@ -10,9 +10,10 @@ use crate::{BitVec, PauliError};
 ///
 /// `BinMatrix` underlies the linear algebra used throughout the workspace:
 /// extracting logical operators of CSS codes (kernels and quotients),
-/// checking stabilizer independence (rank), the OSD stage of BP-OSD
-/// (Gaussian elimination and solving) and the cluster-validity test of the
-/// hypergraph union-find decoder.
+/// checking stabilizer independence (rank) and the OSD stage of BP-OSD
+/// (Gaussian elimination and solving). It is also the reference the
+/// hypergraph union-find decoder's word-level cluster solver is tested
+/// against.
 ///
 /// # Example
 ///
