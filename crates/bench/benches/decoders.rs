@@ -4,7 +4,7 @@
 //! surface-d5, this bench times the full estimation pipeline twice: the
 //! historical per-shot scalar loop (`estimate_logical_error_scalar`, the
 //! cross-check oracle) and the word-parallel batch path
-//! (`estimate_logical_error_timed`), which also reports the per-phase
+//! (`estimate_logical_error`), which also reports the per-phase
 //! sample/decode/score split measured inside the estimator.
 //!
 //! Beyond the criterion timings it writes `BENCH_decoders.json` — one
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use asynd_circuit::{
-    estimate_logical_error_scalar, estimate_logical_error_timed, DecoderFactory, EstimateOptions,
+    estimate_logical_error, estimate_logical_error_scalar, DecoderFactory, EstimateOptions,
     NoiseModel, Schedule,
 };
 use asynd_codes::{rotated_surface_code, steane_code, StabilizerCode};
@@ -111,7 +111,7 @@ fn collect_records(code: &StabilizerCode, label: &str, records: &mut Vec<Record>
 
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let start = Instant::now();
-        let (batched, timings) = estimate_logical_error_timed(
+        let (batched, timings) = estimate_logical_error(
             code,
             &schedule,
             &noise,
@@ -211,7 +211,7 @@ fn bench_decoders(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = ChaCha8Rng::seed_from_u64(2);
             black_box(
-                estimate_logical_error_timed(
+                estimate_logical_error(
                     &code,
                     &schedule,
                     &noise,

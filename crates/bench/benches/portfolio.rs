@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use asynd_circuit::{estimate_logical_error_timed, EstimateOptions, NoiseModel, Schedule};
+use asynd_circuit::{estimate_logical_error, EstimateOptions, NoiseModel, Schedule};
 use asynd_codes::{rotated_surface_code, steane_code, StabilizerCode};
 use asynd_decode::UnionFindFactory;
 use asynd_portfolio::{
@@ -162,7 +162,7 @@ fn collect_phases(code: &StabilizerCode, label: &str, phases: &mut Vec<PhaseReco
     let shots = if smoke() { 256 } else { 1024 };
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let start = std::time::Instant::now();
-    let (_, timings) = estimate_logical_error_timed(
+    let (_, timings) = estimate_logical_error(
         code,
         &schedule,
         &NoiseModel::brisbane(),

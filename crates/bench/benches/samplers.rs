@@ -81,6 +81,7 @@ fn bench_estimation_pipeline(c: &mut Criterion) {
                     &noise,
                     factory.as_ref(),
                     shots,
+                    &asynd_circuit::EstimateOptions::default(),
                     &mut rng,
                 )
                 .unwrap(),

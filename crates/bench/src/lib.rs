@@ -16,7 +16,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use asynd_circuit::{estimate_logical_error, DecoderFactory, NoiseModel, Schedule};
+use asynd_circuit::{
+    estimate_logical_error, DecoderFactory, EstimateOptions, NoiseModel, Schedule,
+};
 use asynd_codes::catalog::RecommendedDecoder;
 use asynd_codes::StabilizerCode;
 use asynd_core::{LowestDepthScheduler, MctsConfig, MctsScheduler, Scheduler};
@@ -107,8 +109,10 @@ pub fn measure(
     seed: u64,
 ) -> Measurement {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let estimate = estimate_logical_error(code, schedule, noise, factory, shots, &mut rng)
-        .expect("benchmark evaluation failed");
+    let options = EstimateOptions::default();
+    let (estimate, _) =
+        estimate_logical_error(code, schedule, noise, factory, shots, &options, &mut rng)
+            .expect("benchmark evaluation failed");
     Measurement {
         p_x: estimate.p_x(),
         p_z: estimate.p_z(),

@@ -218,66 +218,21 @@ impl Default for EstimateOptions {
 /// it via `factory`, and `shots` samples are decoded. A shot counts towards
 /// `p_x` when any of the first `k` observables (logical-Z readouts) is
 /// mispredicted, towards `p_z` when any of the last `k` is mispredicted, and
-/// towards `p_overall` when anything is mispredicted.
+/// towards `p_overall` when anything is mispredicted. `options` tunes the
+/// pipeline (chunk size, early stopping, thread cap);
+/// `EstimateOptions::default()` runs every shot on all cores.
 ///
 /// One `u64` is drawn from `rng` as the master seed of the chunked
 /// estimator, so results are deterministic given the caller's RNG state and
-/// identical for any thread count.
+/// identical for any thread count. The per-phase sample/decode/score
+/// wall-clock totals ([`PhaseTimings`], summed across worker threads) ride
+/// along; they never influence the estimate.
 ///
 /// # Errors
 ///
-/// Returns [`CircuitError::InvalidParameter`] if `shots == 0` or the noise
-/// model is invalid.
+/// Returns [`CircuitError::InvalidParameter`] if `shots == 0`,
+/// `options.chunk_shots == 0` or the noise model is invalid.
 pub fn estimate_logical_error<R: Rng + ?Sized>(
-    code: &StabilizerCode,
-    schedule: &Schedule,
-    noise: &NoiseModel,
-    factory: &dyn DecoderFactory,
-    shots: usize,
-    rng: &mut R,
-) -> Result<LogicalErrorEstimate, CircuitError> {
-    estimate_logical_error_with(
-        code,
-        schedule,
-        noise,
-        factory,
-        shots,
-        &EstimateOptions::default(),
-        rng,
-    )
-}
-
-/// [`estimate_logical_error`] with explicit pipeline options (chunk size,
-/// early stopping, thread cap).
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidParameter`] if `shots == 0` or the noise
-/// model is invalid.
-pub fn estimate_logical_error_with<R: Rng + ?Sized>(
-    code: &StabilizerCode,
-    schedule: &Schedule,
-    noise: &NoiseModel,
-    factory: &dyn DecoderFactory,
-    shots: usize,
-    options: &EstimateOptions,
-    rng: &mut R,
-) -> Result<LogicalErrorEstimate, CircuitError> {
-    estimate_logical_error_timed(code, schedule, noise, factory, shots, options, rng)
-        .map(|(estimate, _)| estimate)
-}
-
-/// [`estimate_logical_error_with`] plus the pipeline's per-phase
-/// sample/decode/score wall-clock totals (summed across worker threads —
-/// see [`PhaseTimings`]).
-///
-/// The estimate is bit-identical to the untimed entry points.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidParameter`] if `shots == 0` or the noise
-/// model is invalid.
-pub fn estimate_logical_error_timed<R: Rng + ?Sized>(
     code: &StabilizerCode,
     schedule: &Schedule,
     noise: &NoiseModel,
@@ -294,7 +249,7 @@ pub fn estimate_logical_error_timed<R: Rng + ?Sized>(
 
 /// The shared batch-pipeline core: runs `shots` samples of `frame` through
 /// `decoder` and counts logical failures. Used by
-/// [`estimate_logical_error_with`] and by the memoising
+/// [`estimate_logical_error`] and by the memoising
 /// [`Evaluator`](crate::Evaluator), which both reduce to this pure function
 /// of `(frame, decoder, master_seed)`.
 pub(crate) fn run_estimate(
@@ -320,7 +275,7 @@ pub(crate) fn run_estimate(
         ..EstimatorConfig::default()
     });
     let (estimate, timings) =
-        estimator.estimate_timed(frame, &AsBatch(decoder), split_x, shots, master_seed);
+        estimator.estimate(frame, &AsBatch(decoder), split_x, shots, master_seed);
     Ok((
         LogicalErrorEstimate {
             x_failures: estimate.x_failures,
@@ -427,8 +382,10 @@ mod tests {
         let schedule = Schedule::trivial(&code);
         let noise = NoiseModel::uniform(0.0, 0.0, 0.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let estimate =
-            estimate_logical_error(&code, &schedule, &noise, &NullFactory, 200, &mut rng).unwrap();
+        let options = EstimateOptions::default();
+        let (estimate, _) =
+            estimate_logical_error(&code, &schedule, &noise, &NullFactory, 200, &options, &mut rng)
+                .unwrap();
         assert_eq!(estimate.p_overall(), 0.0);
         assert_eq!(estimate.p_x(), 0.0);
         assert_eq!(estimate.p_z(), 0.0);
@@ -441,8 +398,10 @@ mod tests {
         let schedule = Schedule::trivial(&code);
         let noise = NoiseModel::uniform(0.05, 0.02, 0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let estimate =
-            estimate_logical_error(&code, &schedule, &noise, &NullFactory, 500, &mut rng).unwrap();
+        let options = EstimateOptions::default();
+        let (estimate, _) =
+            estimate_logical_error(&code, &schedule, &noise, &NullFactory, 500, &options, &mut rng)
+                .unwrap();
         assert!(estimate.p_overall() > 0.0, "heavy noise must produce logical errors");
         assert!(estimate.p_overall() >= estimate.p_x().max(estimate.p_z()));
         assert!(estimate.score() <= 1.0 / estimate.p_overall() + 1e-9);
@@ -481,6 +440,7 @@ mod tests {
             &NoiseModel::brisbane(),
             &NullFactory,
             0,
+            &EstimateOptions::default(),
             &mut rng
         )
         .is_err());
@@ -501,7 +461,7 @@ mod tests {
         let schedule = Schedule::trivial(&code);
         let options = EstimateOptions { chunk_shots: 0, ..EstimateOptions::default() };
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        assert!(estimate_logical_error_with(
+        assert!(estimate_logical_error(
             &code,
             &schedule,
             &NoiseModel::brisbane(),
@@ -522,16 +482,9 @@ mod tests {
         let threaded = EstimateOptions { max_threads: Some(4), ..EstimateOptions::default() };
         let run = |options: &EstimateOptions| {
             let mut rng = ChaCha8Rng::seed_from_u64(6);
-            estimate_logical_error_with(
-                &code,
-                &schedule,
-                &noise,
-                &NullFactory,
-                5000,
-                options,
-                &mut rng,
-            )
-            .unwrap()
+            estimate_logical_error(&code, &schedule, &noise, &NullFactory, 5000, options, &mut rng)
+                .unwrap()
+                .0
         };
         assert_eq!(run(&serial), run(&serial));
         assert_eq!(run(&serial), run(&threaded));
@@ -550,7 +503,7 @@ mod tests {
             ..EstimateOptions::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let estimate = estimate_logical_error_with(
+        let (estimate, _) = estimate_logical_error(
             &code,
             &schedule,
             &noise,

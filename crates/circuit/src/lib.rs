@@ -25,8 +25,8 @@
 //!   noisy scheduled round, ideal round, decoder correction, logical
 //!   comparison, yielding logical X / Z / overall error rates. Runs on the
 //!   chunked, thread-parallel `asynd-sim` pipeline with Wilson confidence
-//!   intervals and optional early stopping
-//!   ([`estimate_logical_error_with`]); the historical per-shot loop is
+//!   intervals, optional early stopping ([`EstimateOptions`]) and
+//!   per-phase timings; the historical per-shot loop is
 //!   [`estimate_logical_error_scalar`].
 //! * [`Evaluator`] — the memoising evaluation service used by search
 //!   workloads: owns noise model + decoder factory and caches
@@ -70,9 +70,8 @@ mod schedule;
 pub use dem::{DemError, DetectorErrorModel};
 pub use error::CircuitError;
 pub use evaluate::{
-    estimate_logical_error, estimate_logical_error_scalar, estimate_logical_error_timed,
-    estimate_logical_error_with, BatchObservableDecoder, DecoderFactory, EstimateOptions,
-    LogicalErrorEstimate, ObservableDecoder,
+    estimate_logical_error, estimate_logical_error_scalar, BatchObservableDecoder, DecoderFactory,
+    EstimateOptions, LogicalErrorEstimate, ObservableDecoder,
 };
 pub use evaluator::{
     Evaluation, Evaluator, EvaluatorMetrics, EvaluatorStats, DEFAULT_CACHE_CAPACITY,

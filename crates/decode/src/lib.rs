@@ -19,19 +19,20 @@
 //!
 //! ```
 //! use asynd_codes::rotated_surface_code;
-//! use asynd_circuit::{estimate_logical_error, NoiseModel, Schedule};
+//! use asynd_circuit::{estimate_logical_error, EstimateOptions, NoiseModel, Schedule};
 //! use asynd_decode::MwpmFactory;
 //! use rand::SeedableRng;
 //!
 //! let code = rotated_surface_code(3);
 //! let schedule = Schedule::trivial(&code);
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let estimate = estimate_logical_error(
+//! let (estimate, _timings) = estimate_logical_error(
 //!     &code,
 //!     &schedule,
 //!     &NoiseModel::brisbane(),
 //!     &MwpmFactory::new(),
 //!     200,
+//!     &EstimateOptions::default(),
 //!     &mut rng,
 //! )
 //! .unwrap();

@@ -4,8 +4,8 @@
 //! physical noise.
 
 use asynd_circuit::{
-    estimate_logical_error, DecoderFactory, DetectorErrorModel, NoiseModel, ObservableDecoder,
-    Schedule,
+    estimate_logical_error, DecoderFactory, DetectorErrorModel, EstimateOptions, NoiseModel,
+    ObservableDecoder, Schedule,
 };
 use asynd_codes::{rotated_surface_code, steane_code, toric_code};
 use asynd_decode::{BpOsdFactory, MwpmFactory, UnionFindFactory};
@@ -43,7 +43,10 @@ fn run(
     let schedule = Schedule::trivial(code);
     schedule.validate(code).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    estimate_logical_error(code, &schedule, noise, factory, shots, &mut rng).unwrap().p_overall()
+    let options = EstimateOptions::default();
+    let (estimate, _) =
+        estimate_logical_error(code, &schedule, noise, factory, shots, &options, &mut rng).unwrap();
+    estimate.p_overall()
 }
 
 #[test]

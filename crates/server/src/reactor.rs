@@ -18,8 +18,8 @@
 //!
 //! The wire protocol is autodetected per connection from the first byte:
 //! [`FRAME_MAGIC`] selects framed protocol v2, anything else the v1
-//! JSON-lines protocol. v1 semantics are byte-compatible with the
-//! historical thread-per-connection server (and with [`serve_lines`]):
+//! JSON-lines protocol. A v1 connection drives the same sans-I/O session
+//! as [`serve_lines`], so the two transports are byte-compatible:
 //! probes and protocol errors are answered immediately, job responses
 //! strictly in submission order, `shutdown` drains pending jobs, acks
 //! and stops the whole server. v2 frames job responses by id instead of
@@ -61,8 +61,10 @@ use serde_json::{Map, Value};
 
 use crate::lock_unpoisoned;
 use crate::protocol::{CancelRequest, ProgressUpdate, Request, Response};
-use crate::server::{JobSink, QueuedJob, ScheduleServer, JOB_CANCELLED, JOB_QUEUED};
-use crate::ServerError;
+use crate::server::{
+    dispatch, Dispatch, JobSink, QueuedJob, ScheduleServer, V1Session, V1Step, JOB_CANCELLED,
+    JOB_QUEUED,
+};
 
 /// Outbound bytes above which a connection stops being read (write
 /// backpressure engages).
@@ -420,29 +422,9 @@ enum Proto {
     /// Nothing received yet.
     Unknown,
     /// JSON-lines (the v1 protocol).
-    V1(V1State),
+    V1(V1Session),
     /// Framed protocol v2.
     V2(V2State),
-}
-
-/// v1 bookkeeping: job responses are emitted strictly in submission
-/// order, so finished-out-of-order responses park in `ready` until their
-/// turn.
-struct V1State {
-    /// Sequence number handed to the next submitted job.
-    next_seq: u64,
-    /// Sequence number whose response is emitted next.
-    emit_seq: u64,
-    /// Finished jobs waiting for their emission turn.
-    ready: BTreeMap<u64, Response>,
-    /// The peer sent `{"op":"shutdown"}`: drain, ack, stop the server.
-    shutdown_requested: bool,
-}
-
-impl V1State {
-    fn new() -> V1State {
-        V1State { next_seq: 0, emit_seq: 0, ready: BTreeMap::new(), shutdown_requested: false }
-    }
 }
 
 /// v2 bookkeeping: responses are keyed by job id (no ordering
@@ -511,17 +493,6 @@ impl Conn {
         }
     }
 
-    /// The v1 protocol state, when this connection negotiated v1.
-    /// `None` on a v2 or undecided connection — callers bail out rather
-    /// than assert, so a protocol-state mixup degrades to a dropped
-    /// message instead of a reactor panic.
-    fn v1_mut(&mut self) -> Option<&mut V1State> {
-        match &mut self.proto {
-            Proto::V1(v1) => Some(v1),
-            Proto::Unknown | Proto::V2(_) => None,
-        }
-    }
-
     /// The v2 protocol state, when this connection negotiated v2.
     fn v2_mut(&mut self) -> Option<&mut V2State> {
         match &mut self.proto {
@@ -538,7 +509,7 @@ impl Conn {
             || self.dying
             || match &self.proto {
                 Proto::Unknown => false,
-                Proto::V1(v1) => v1.shutdown_requested,
+                Proto::V1(session) => session.shutdown_requested(),
                 Proto::V2(v2) => v2.shutdown_requested || v2.goodbye_sent || v2.peer_goodbye,
             }
     }
@@ -549,7 +520,7 @@ impl Conn {
             match self.io.rbuf().first().copied() {
                 None => return,
                 Some(FRAME_MAGIC) => self.proto = Proto::V2(V2State::new()),
-                Some(_) => self.proto = Proto::V1(V1State::new()),
+                Some(_) => self.proto = Proto::V1(V1Session::new()),
             }
         }
         match self.proto {
@@ -563,63 +534,30 @@ impl Conn {
 
     fn process_v1(&mut self, token: u64, ctx: &Ctx) {
         loop {
-            if let Proto::V1(v1) = &self.proto {
-                if v1.shutdown_requested {
-                    // Like serve_lines: nothing after shutdown is read.
-                    self.io.rbuf().clear();
-                    return;
-                }
+            let Proto::V1(session) = &mut self.proto else { return };
+            if session.shutdown_requested() {
+                // Like serve_lines: nothing after shutdown is read.
+                self.io.rbuf().clear();
+                return;
             }
             let Some(line) = take_line(&mut self.io) else { return };
-            self.process_v1_line(&line, token, ctx);
-        }
-    }
-
-    fn process_v1_line(&mut self, line: &[u8], token: u64, ctx: &Ctx) {
-        let parsed = match std::str::from_utf8(line) {
-            Ok(text) => {
-                let line = text.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    return;
-                }
-                Request::parse(line)
-            }
-            Err(_) => {
-                Err(ServerError::Protocol { reason: "request line is not valid UTF-8".to_string() })
-            }
-        };
-        match parsed {
-            Ok(Request::Synthesize(request)) => {
-                let seq = {
-                    let Some(v1) = self.v1_mut() else { return };
-                    let seq = v1.next_seq;
-                    v1.next_seq += 1;
-                    seq
-                };
-                let sink = ReactorSink {
-                    events: Arc::clone(&ctx.events),
-                    waker: Arc::clone(&ctx.waker),
-                    conn: token,
-                    seq,
-                    id: request.id.clone(),
-                    want_progress: false,
-                };
-                let job = QueuedJob::new(request, JobSink::Reactor(sink));
-                self.states.push(Arc::clone(&job.state));
-                self.submit_or_defer(job, ctx);
-            }
-            Ok(Request::Lookup(request)) => queue_line(&mut self.io, &ctx.server.lookup(&request)),
-            Ok(Request::Metrics(id)) => queue_line(&mut self.io, &ctx.server.metrics(&id)),
-            Ok(Request::Ping) => queue_line(&mut self.io, &Response::Pong),
-            Ok(Request::Shutdown) => {
-                if let Some(v1) = self.v1_mut() {
-                    v1.shutdown_requested = true;
+            match session.line(&line, ctx.server) {
+                None => {}
+                Some(V1Step::Reply(response)) => queue_line(&mut self.io, &response),
+                Some(V1Step::Submit(seq, request)) => {
+                    let sink = ReactorSink {
+                        events: Arc::clone(&ctx.events),
+                        waker: Arc::clone(&ctx.waker),
+                        conn: token,
+                        seq,
+                        id: request.id.clone(),
+                        want_progress: false,
+                    };
+                    let job = QueuedJob::new(request, JobSink::Reactor(sink));
+                    self.states.push(Arc::clone(&job.state));
+                    self.submit_or_defer(job, ctx);
                 }
             }
-            Err(e) => queue_line(
-                &mut self.io,
-                &Response::Error { id: String::new(), error: e.to_string() },
-            ),
         }
     }
 
@@ -682,8 +620,8 @@ impl Conn {
             });
             return;
         };
-        match Request::parse(text) {
-            Ok(Request::Synthesize(request)) => {
+        match dispatch(ctx.server, Request::parse(text)) {
+            Dispatch::Submit(request) => {
                 // Progress streaming is on unless the request opts out
                 // with `"progress": false`.
                 let want_progress = serde_json::from_str(text)
@@ -705,16 +643,12 @@ impl Conn {
                 v2.jobs.insert(id, Arc::clone(&job.state));
                 self.submit_or_defer(job, ctx);
             }
-            Ok(Request::Lookup(request)) => self.queue_response_frame(&ctx.server.lookup(&request)),
-            Ok(Request::Metrics(id)) => self.queue_response_frame(&ctx.server.metrics(&id)),
-            Ok(Request::Ping) => self.queue_response_frame(&Response::Pong),
-            Ok(Request::Shutdown) => {
+            Dispatch::Reply(response) => self.queue_response_frame(&response),
+            Dispatch::Shutdown => {
                 if let Some(v2) = self.v2_mut() {
                     v2.shutdown_requested = true;
                 }
             }
-            Err(e) => self
-                .queue_response_frame(&Response::Error { id: String::new(), error: e.to_string() }),
         }
     }
 
@@ -810,9 +744,7 @@ impl Conn {
     fn on_done(&mut self, seq: u64, id: &str, response: Response) {
         match &mut self.proto {
             Proto::Unknown => {}
-            Proto::V1(v1) => {
-                v1.ready.insert(seq, response);
-            }
+            Proto::V1(session) => session.done(seq, response),
             Proto::V2(v2) => {
                 v2.jobs.remove(id);
                 v2.inflight = v2.inflight.saturating_sub(1);
@@ -833,17 +765,12 @@ impl Conn {
     /// dropped.
     fn maintenance(&mut self, _token: u64, ctx: &Ctx) -> bool {
         self.retry_deferred(ctx);
-        // v1: emit finished responses in submission order; once drained,
-        // ack a requested shutdown.
-        if let Proto::V1(v1) = &mut self.proto {
-            while let Some(response) = v1.ready.remove(&v1.emit_seq) {
+        // v1: send what the session releases — job responses in
+        // submission order, then the shutdown ack once they are drained.
+        if let Proto::V1(session) = &mut self.proto {
+            while let Some(response) = session.next_response() {
+                self.shutdown_acked |= matches!(response, Response::ShuttingDown);
                 queue_line(&mut self.io, &response);
-                v1.emit_seq += 1;
-            }
-            let drained = v1.emit_seq == v1.next_seq && self.deferred.is_empty();
-            if v1.shutdown_requested && drained && !self.shutdown_acked {
-                queue_line(&mut self.io, &Response::ShuttingDown);
-                self.shutdown_acked = true;
             }
         }
         if let Proto::V2(v2) = &mut self.proto {
@@ -891,7 +818,7 @@ impl Conn {
             let drained = self.deferred.is_empty()
                 && match &self.proto {
                     Proto::Unknown => true,
-                    Proto::V1(v1) => v1.emit_seq == v1.next_seq,
+                    Proto::V1(session) => session.drained(),
                     Proto::V2(v2) => v2.inflight == 0,
                 };
             if drained && flushed {

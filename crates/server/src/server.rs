@@ -2,6 +2,7 @@
 //! by a worker thread pool, executing synthesis jobs through the
 //! portfolio engine over per-tenant shared evaluators.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -404,27 +405,6 @@ impl ScheduleServer {
         Ok(JobHandle { id, rx })
     }
 
-    /// Submits a job without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServerError::Rejected`] when the queue is at capacity
-    /// (the bounded-queue refusal callers retry against) or the server is
-    /// shutting down.
-    pub fn try_submit(&self, request: JobRequest) -> Result<JobHandle, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        let id = request.id.clone();
-        self.shared.queue.try_push(QueuedJob::new(request, JobSink::Channel(tx))).map_err(
-            |_| {
-                self.shared.metrics.jobs_rejected.inc();
-                ServerError::Rejected { reason: "job queue is full".into() }
-            },
-        )?;
-        self.shared.metrics.jobs_submitted.inc();
-        self.shared.metrics.queue_depth.add(1);
-        Ok(JobHandle { id, rx })
-    }
-
     /// Enqueues a reactor-built job on `shard` without blocking — the
     /// reactor path, which must never park its event loop on a full
     /// queue. The reactor defers the job and retries instead of
@@ -654,15 +634,162 @@ fn try_execute_job(
     })
 }
 
+/// What a request asks of the server, in either wire protocol: probes
+/// and protocol errors are answered on the spot, jobs go to the queue,
+/// and shutdown is left to the transport.
+pub(crate) enum Dispatch {
+    /// Answer now: a probe (`ping`, `lookup`, `metrics`) or a protocol
+    /// error.
+    Reply(Response),
+    /// A synthesis job to enqueue.
+    Submit(JobRequest),
+    /// The peer asked the server to shut down.
+    Shutdown,
+}
+
+/// Sorts a parsed request into a [`Dispatch`], answering probes and
+/// parse errors. Costs a registry lookup or a metrics snapshot at most —
+/// never an evaluation, never synthesis.
+pub(crate) fn dispatch(server: &ScheduleServer, parsed: Result<Request, ServerError>) -> Dispatch {
+    match parsed {
+        Ok(Request::Synthesize(request)) => Dispatch::Submit(request),
+        Ok(Request::Shutdown) => Dispatch::Shutdown,
+        Ok(Request::Ping) => Dispatch::Reply(Response::Pong),
+        Ok(Request::Lookup(request)) => Dispatch::Reply(server.lookup(&request)),
+        Ok(Request::Metrics(id)) => Dispatch::Reply(server.metrics(&id)),
+        Err(e) => Dispatch::Reply(Response::Error { id: String::new(), error: e.to_string() }),
+    }
+}
+
+/// What a [`V1Session`] makes of one request line.
+#[derive(Debug)]
+pub(crate) enum V1Step {
+    /// Send this response now, out of band of job ordering.
+    Reply(Response),
+    /// Enqueue this job; its response is owed at the given sequence
+    /// number.
+    Submit(u64, JobRequest),
+}
+
+/// The v1 JSON-lines protocol as plain single-threaded state, with no
+/// I/O of its own. Both transports drive it: [`serve_lines`] with
+/// blocking reads, the reactor with nonblocking ones. A driver feeds it
+/// raw lines and finished job responses and sends whatever it yields.
+///
+/// * Blank lines are skipped. `ping`, `lookup`, `metrics` and malformed
+///   lines (bad JSON, unknown ops, invalid UTF-8) are answered at once.
+/// * Jobs get consecutive sequence numbers, and their responses are
+///   released strictly in that order, however they finish.
+/// * After a `shutdown` line nothing more is read, and the
+///   `shutting_down` ack follows the last owed job response.
+pub(crate) struct V1Session {
+    /// Sequence number handed to the next submitted job.
+    next_seq: u64,
+    /// Sequence number whose response is released next.
+    emit_seq: u64,
+    /// Finished jobs waiting for their release turn.
+    ready: BTreeMap<u64, Response>,
+    /// The peer sent `{"op":"shutdown"}`.
+    shutdown: bool,
+    /// The `shutting_down` ack has been released.
+    acked: bool,
+}
+
+impl V1Session {
+    pub(crate) fn new() -> V1Session {
+        V1Session {
+            next_seq: 0,
+            emit_seq: 0,
+            ready: BTreeMap::new(),
+            shutdown: false,
+            acked: false,
+        }
+    }
+
+    /// Handles one raw request line, with or without its newline (an
+    /// unterminated final line is a request like any other). `None`
+    /// means there is nothing to send or submit: a blank line, the
+    /// shutdown request, or anything after it.
+    pub(crate) fn line(&mut self, raw: &[u8], server: &ScheduleServer) -> Option<V1Step> {
+        if self.shutdown {
+            return None;
+        }
+        let parsed = match std::str::from_utf8(raw) {
+            Ok(text) => {
+                let line = text.trim_end_matches(['\n', '\r']);
+                if line.trim().is_empty() {
+                    return None;
+                }
+                Request::parse(line)
+            }
+            // Answered in band: one garbage line must not tear down the
+            // transport and the pipelined jobs behind it.
+            Err(_) => {
+                Err(ServerError::Protocol { reason: "request line is not valid UTF-8".to_string() })
+            }
+        };
+        match dispatch(server, parsed) {
+            Dispatch::Reply(response) => Some(V1Step::Reply(response)),
+            Dispatch::Submit(request) => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                Some(V1Step::Submit(seq, request))
+            }
+            Dispatch::Shutdown => {
+                self.shutdown = true;
+                None
+            }
+        }
+    }
+
+    /// Records the response of the job submitted as `seq` — its result,
+    /// or the error that refused it.
+    pub(crate) fn done(&mut self, seq: u64, response: Response) {
+        self.ready.insert(seq, response);
+    }
+
+    /// The next response the peer is owed: finished jobs strictly by
+    /// sequence number, then, once shutdown was requested and every job
+    /// has been answered, the `shutting_down` ack, exactly once.
+    pub(crate) fn next_response(&mut self) -> Option<Response> {
+        if let Some(response) = self.ready.remove(&self.emit_seq) {
+            self.emit_seq += 1;
+            return Some(response);
+        }
+        if self.shutdown && !self.acked && self.drained() {
+            self.acked = true;
+            return Some(Response::ShuttingDown);
+        }
+        None
+    }
+
+    /// Whether the peer sent `{"op":"shutdown"}`.
+    pub(crate) fn shutdown_requested(&self) -> bool {
+        self.shutdown
+    }
+
+    /// Whether every submitted job's response has been released.
+    pub(crate) fn drained(&self) -> bool {
+        self.emit_seq == self.next_seq
+    }
+}
+
+/// Writes one response line and flushes it.
+fn write_line(writer: &mut impl Write, response: &Response) -> std::io::Result<()> {
+    writeln!(writer, "{}", response.to_json())?;
+    writer.flush()
+}
+
 /// Speaks the JSON-lines protocol over an arbitrary reader/writer pair —
-/// the stdio transport of `asynd serve`, and the per-connection loop of
-/// the TCP transport.
+/// the stdio transport of `asynd serve`. The TCP transport's v1
+/// connections follow the same rules (see [`crate::reactor`]).
 ///
 /// Job responses are written in submission order (the determinism
-/// contract's framing guarantee); already-finished jobs are flushed
-/// eagerly between requests so a long-lived session streams results.
-/// `ping`, `lookup` and `metrics` are answered immediately, out of band
-/// of job ordering — they are probes, not jobs.
+/// contract's framing guarantee), a refused submission's error included;
+/// already-finished jobs are flushed eagerly between requests so a
+/// long-lived session streams results. `ping`, `lookup` and `metrics` are
+/// answered immediately, out of band of job ordering — they are probes,
+/// not jobs.
 ///
 /// Returns `true` when the peer requested shutdown.
 ///
@@ -678,91 +805,50 @@ pub fn serve_lines(
     mut writer: impl Write,
     server: &ScheduleServer,
 ) -> std::io::Result<bool> {
-    let mut pending: std::collections::VecDeque<JobHandle> = std::collections::VecDeque::new();
-    let mut shutdown = false;
+    let mut session = V1Session::new();
+    // Submitted jobs, in sequence order.
+    let mut pending: VecDeque<(u64, JobHandle)> = VecDeque::new();
     let mut raw: Vec<u8> = Vec::new();
     loop {
         raw.clear();
         if reader.read_until(b'\n', &mut raw)? == 0 {
             break;
         }
-        let parsed = match std::str::from_utf8(&raw) {
-            Ok(text) => {
-                let line = text.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                Request::parse(line)
-            }
-            // `BufRead::lines` would have surfaced this as an I/O error
-            // and killed the whole connection; a byte-level read keeps
-            // the transport alive and answers in-band instead.
-            Err(_) => {
-                Err(ServerError::Protocol { reason: "request line is not valid UTF-8".to_string() })
-            }
-        };
-        match parsed {
-            Ok(Request::Synthesize(request)) => {
+        match session.line(&raw, server) {
+            None => {}
+            Some(V1Step::Reply(response)) => write_line(&mut writer, &response)?,
+            Some(V1Step::Submit(seq, request)) => {
                 let id = request.id.clone();
                 match server.submit(request) {
-                    Ok(handle) => pending.push_back(handle),
-                    Err(e) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            Response::Error { id, error: e.to_string() }.to_json()
-                        )?;
-                        writer.flush()?;
-                    }
+                    Ok(handle) => pending.push_back((seq, handle)),
+                    Err(e) => session.done(seq, Response::Error { id, error: e.to_string() }),
                 }
             }
-            Ok(Request::Lookup(request)) => {
-                writeln!(writer, "{}", server.lookup(&request).to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Metrics(id)) => {
-                writeln!(writer, "{}", server.metrics(&id).to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Ping) => {
-                writeln!(writer, "{}", Response::Pong.to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Shutdown) => {
-                shutdown = true;
-                break;
-            }
-            Err(e) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    Response::Error { id: String::new(), error: e.to_string() }.to_json()
-                )?;
-                writer.flush()?;
-            }
+        }
+        if session.shutdown_requested() {
+            break;
         }
         // Stream any responses that are already done, oldest first, so a
         // long-lived session sees results without waiting for EOF.
-        while let Some(front) = pending.front() {
-            match front.poll() {
-                Some(response) => {
-                    writeln!(writer, "{}", response.to_json())?;
-                    writer.flush()?;
-                    pending.pop_front();
-                }
-                None => break,
-            }
+        while let Some((seq, handle)) = pending.front() {
+            let Some(response) = handle.poll() else { break };
+            session.done(*seq, response);
+            pending.pop_front();
+        }
+        while let Some(response) = session.next_response() {
+            write_line(&mut writer, &response)?;
         }
     }
+    let shutdown = session.shutdown_requested();
     let finish = move || -> std::io::Result<()> {
-        for handle in pending {
-            let response = handle.wait();
-            writeln!(writer, "{}", response.to_json())?;
+        let mut pending = pending.into_iter();
+        loop {
+            while let Some(response) = session.next_response() {
+                write_line(&mut writer, &response)?;
+            }
+            let Some((seq, handle)) = pending.next() else { return Ok(()) };
+            session.done(seq, handle.wait());
         }
-        if shutdown {
-            writeln!(writer, "{}", Response::ShuttingDown.to_json())?;
-        }
-        writer.flush()
     };
     match finish() {
         Ok(()) => {}
@@ -807,6 +893,28 @@ mod tests {
             shots: 150,
             seed,
             warm_seed: None,
+        }
+    }
+
+    /// A v1 request line for a cheap lowest-depth job.
+    fn job_line(id: &str) -> String {
+        format!(
+            "{{\"id\":{id:?},\"code\":{{\"family\":\"rotated-surface\"}},\
+             \"noise\":\"brisbane\",\"strategy\":\"lowest-depth\",\
+             \"budget\":8,\"shots\":120,\"seed\":3}}\n"
+        )
+    }
+
+    /// A stand-in for a finished job's response.
+    fn answer(id: &str) -> Response {
+        Response::Error { id: id.to_string(), error: "finished".to_string() }
+    }
+
+    /// The sequence number of a line the session turned into a job.
+    fn submitted(step: Option<V1Step>) -> u64 {
+        match step {
+            Some(V1Step::Submit(seq, _)) => seq,
+            other => panic!("expected a submission, got {other:?}"),
         }
     }
 
@@ -1063,5 +1171,100 @@ mod tests {
             other => panic!("unexpected response: {other:?}"),
         }
         assert_eq!(Response::parse(lines[3]).unwrap(), Response::ShuttingDown);
+    }
+
+    #[test]
+    fn v1_session_releases_out_of_order_completions_in_seq_order() {
+        let server = ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut session = V1Session::new();
+        let seqs: Vec<u64> = ["a", "b", "c"]
+            .iter()
+            .map(|id| submitted(session.line(job_line(id).as_bytes(), &server)))
+            .collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        session.done(2, answer("c"));
+        session.done(0, answer("a"));
+        assert_eq!(session.next_response(), Some(answer("a")));
+        assert_eq!(session.next_response(), None, "c waits for b");
+        assert!(!session.drained());
+        session.done(1, answer("b"));
+        assert_eq!(session.next_response(), Some(answer("b")));
+        assert_eq!(session.next_response(), Some(answer("c")));
+        assert_eq!(session.next_response(), None);
+        assert!(session.drained());
+    }
+
+    #[test]
+    fn v1_session_holds_the_shutdown_ack_until_drained() {
+        let server = ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut session = V1Session::new();
+        let seq = submitted(session.line(job_line("a").as_bytes(), &server));
+        assert!(session.line(b"{\"op\":\"shutdown\"}\n", &server).is_none());
+        assert!(session.shutdown_requested());
+        assert!(
+            session.line(b"{\"op\":\"ping\"}\n", &server).is_none(),
+            "nothing after shutdown is read"
+        );
+        assert_eq!(session.next_response(), None, "the ack waits for the owed job");
+        session.done(seq, answer("a"));
+        assert_eq!(session.next_response(), Some(answer("a")));
+        assert_eq!(session.next_response(), Some(Response::ShuttingDown));
+        assert_eq!(session.next_response(), None, "the ack is released once");
+    }
+
+    #[test]
+    fn v1_session_skips_blank_lines_and_answers_invalid_utf8() {
+        let server = ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut session = V1Session::new();
+        for blank in [&b""[..], b"\n", b"\r\n", b"  \t \r\n"] {
+            assert!(session.line(blank, &server).is_none(), "blank line {blank:?}");
+        }
+        match session.line(b"\xff\xfe{\"op\":\"ping\"}\n", &server) {
+            Some(V1Step::Reply(Response::Error { id, error })) => {
+                assert!(id.is_empty());
+                assert!(error.contains("UTF-8"), "error: {error}");
+            }
+            other => panic!("expected an in-band error, got {other:?}"),
+        }
+        assert!(session.drained(), "no job was submitted");
+        assert_eq!(session.next_response(), None);
+    }
+
+    #[test]
+    fn v1_session_takes_an_unterminated_final_line() {
+        let server = ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut session = V1Session::new();
+        assert!(matches!(
+            session.line(b"{\"op\":\"ping\"}", &server),
+            Some(V1Step::Reply(Response::Pong))
+        ));
+        let line = job_line("tail");
+        match session.line(line.trim_end().as_bytes(), &server) {
+            Some(V1Step::Submit(0, request)) => assert_eq!(request.id, "tail"),
+            other => panic!("expected job 0, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refused_jobs_keep_their_place_in_the_response_order() {
+        let mut server =
+            ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        // A closed queue refuses every submission.
+        server.shutdown_in_place();
+        let input = format!("{}{}{{\"op\":\"shutdown\"}}\n", job_line("a"), job_line("b"));
+        let mut output = Vec::new();
+        assert!(serve_lines(input.as_bytes(), &mut output, &server).unwrap());
+        let text = String::from_utf8(output).unwrap();
+        let responses: Vec<Response> =
+            text.lines().map(|line| Response::parse(line).unwrap()).collect();
+        let ids: Vec<&str> = responses
+            .iter()
+            .map(|r| match r {
+                Response::Error { id, .. } => id.as_str(),
+                Response::ShuttingDown => "ack",
+                other => panic!("unexpected response: {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, ["a", "b", "ack"], "{text}");
     }
 }

@@ -122,7 +122,7 @@ impl BatchEstimate {
 /// summed across chunks (and therefore across threads: on `N` workers the
 /// totals can exceed the elapsed wall time by up to `N×`).
 ///
-/// Returned by [`ParallelEstimator::estimate_timed`]; kept separate from
+/// Returned by [`ParallelEstimator::estimate`]; kept separate from
 /// [`BatchEstimate`] so the estimate itself stays a pure, comparable
 /// function of `(model, decoder, seed)` — timings vary run to run, the
 /// counts never do.
@@ -212,7 +212,7 @@ impl ChunkCounts {
 ///     vec![Mechanism { probability: 0.1, detectors: vec![0], observables: vec![0] }],
 /// )
 /// .unwrap();
-/// let estimate =
+/// let (estimate, _timings) =
 ///     ParallelEstimator::new(EstimatorConfig::default()).estimate(&model, &Blind, 1, 20_000, 7);
 /// assert_eq!(estimate.shots, 20_000);
 /// let (lo, hi) = estimate.wilson_overall();
@@ -244,36 +244,14 @@ impl ParallelEstimator {
     ///
     /// Observable rows `0..split_x` form the X block (logical-Z readouts)
     /// and rows `split_x..` the Z block, matching the circuit layer's
-    /// convention. `seed` fully determines the result.
+    /// convention. `seed` fully determines the estimate. The per-phase
+    /// sample/decode/score wall-clock totals ([`PhaseTimings`]) ride
+    /// along; timing never influences chunking, seeding or accumulation.
     ///
     /// # Panics
     ///
     /// Panics if `shots == 0`.
     pub fn estimate<D>(
-        &self,
-        model: &FrameErrorModel,
-        decoder: &D,
-        split_x: usize,
-        shots: usize,
-        seed: u64,
-    ) -> BatchEstimate
-    where
-        D: BatchDecoder + Sync + ?Sized,
-    {
-        self.estimate_timed(model, decoder, split_x, shots, seed).0
-    }
-
-    /// Like [`Self::estimate`], but also reports the per-phase
-    /// sample/decode/score wall-clock totals (see [`PhaseTimings`]).
-    ///
-    /// The returned estimate is bit-identical to [`Self::estimate`]'s:
-    /// timing instrumentation never influences chunking, seeding or
-    /// accumulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shots == 0`.
-    pub fn estimate_timed<D>(
         &self,
         model: &FrameErrorModel,
         decoder: &D,
@@ -472,7 +450,7 @@ mod tests {
     fn blind_decoder_failure_rates_match_mechanism_probabilities() {
         let model = two_block_model(0.02, 0.15);
         let estimator = ParallelEstimator::default();
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 100_000, 3);
+        let (estimate, _) = estimator.estimate(&model, &Blind { observables: 2 }, 1, 100_000, 3);
         assert_eq!(estimate.shots, 100_000);
         assert!((estimate.p_x() - 0.02).abs() < 0.005, "p_x {}", estimate.p_x());
         assert!((estimate.p_z() - 0.15).abs() < 0.01, "p_z {}", estimate.p_z());
@@ -498,10 +476,10 @@ mod tests {
             max_threads: Some(4),
             ..EstimatorConfig::default()
         });
-        let a = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42);
-        let b = parallel.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42);
+        let a = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42).0;
+        let b = parallel.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42).0;
         assert_eq!(a, b, "thread count must not change the estimate");
-        let c = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 43);
+        let c = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 43).0;
         assert_ne!(a, c, "different seeds must change the sample");
     }
 
@@ -515,7 +493,7 @@ mod tests {
             chunks_per_wave: 2,
             ..EstimatorConfig::default()
         });
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 1_000_000, 5);
+        let (estimate, _) = estimator.estimate(&model, &Blind { observables: 2 }, 1, 1_000_000, 5);
         assert!(estimate.shots < 1_000_000, "early stop never triggered");
         assert!(estimate.shots >= 1024, "at least one wave must complete");
         assert!((estimate.p_overall() - 0.75).abs() < 0.1);
@@ -529,7 +507,7 @@ mod tests {
             ..EstimatorConfig::default()
         });
         // 250 shots = chunks of 100, 100, 50; p_x = 1 ⇒ every shot fails.
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 250, 0);
+        let (estimate, _) = estimator.estimate(&model, &Blind { observables: 2 }, 1, 250, 0);
         assert_eq!(estimate.shots, 250);
         assert_eq!(estimate.x_failures, 250);
         assert_eq!(estimate.z_failures, 0);

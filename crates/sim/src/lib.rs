@@ -50,7 +50,7 @@
 //!     }
 //! }
 //!
-//! let estimate = ParallelEstimator::default().estimate(&model, &Mirror, 1, 10_000, 1);
+//! let (estimate, _timings) = ParallelEstimator::default().estimate(&model, &Mirror, 1, 10_000, 1);
 //! assert_eq!(estimate.any_failures, 0); // the mirror decoder is perfect here
 //! ```
 

@@ -137,7 +137,14 @@ impl EventLog {
             // Bytes, not text: one bit-rotted line must not brick the
             // whole segment.
             let bytes = fs::read(path)?;
-            for raw in bytes.split(|&b| b == b'\n') {
+            for raw in bytes.split_inclusive(|&b| b == b'\n') {
+                // The writer ends every line with '\n', so an
+                // unterminated final fragment is a torn write — even
+                // when the cut happens to leave parseable JSON.
+                let Some(raw) = raw.strip_suffix(b"\n") else {
+                    skipped += 1;
+                    continue;
+                };
                 match std::str::from_utf8(raw) {
                     Ok(line) if line.trim().is_empty() => {}
                     Ok(line) => match Event::from_line(line) {
@@ -262,6 +269,27 @@ mod tests {
         // Sequence numbers continue after the recovered tail.
         reopened.record("next", Value::Null);
         assert_eq!(reopened.events()[2].seq, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unterminated_tail_is_torn_even_when_it_parses() {
+        let dir = scratch("unterminated");
+        let (log, _) = EventLog::open(&dir).unwrap();
+        for id in ["a", "b", "c"] {
+            log.record("job", fields(id));
+        }
+        log.flush().unwrap();
+        drop(log);
+        // Cut only the final '\n': the last line is still complete JSON,
+        // but the write that produced it never finished.
+        let segment = dir.join("evt-0000000000.jsonl");
+        let bytes = fs::read(&segment).unwrap();
+        assert_eq!(bytes.last(), Some(&b'\n'));
+        fs::write(&segment, &bytes[..bytes.len() - 1]).unwrap();
+        let (reopened, report) = EventLog::open(&dir).unwrap();
+        assert_eq!((report.events, report.skipped), (2, 1));
+        assert_eq!(reopened.events().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

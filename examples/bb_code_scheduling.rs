@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example bb_code_scheduling [-- --large]`
 
-use asyndrome::circuit::{estimate_logical_error, NoiseModel, Schedule};
+use asyndrome::circuit::{estimate_logical_error, EstimateOptions, NoiseModel, Schedule};
 use asyndrome::codes::{bb_code_72_12_6, bivariate_bicycle_code};
 use asyndrome::core::industry::ibm_bb_schedule;
 use asyndrome::core::{MctsConfig, MctsScheduler, Scheduler};
@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .schedule(&code)?;
 
     let shots = 30_000;
+    let options = EstimateOptions::default();
     println!(
         "{:<16} {:>6} {:>12} {:>12} {:>12}",
         "schedule", "depth", "logical X", "logical Z", "overall"
@@ -48,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, schedule) in [("trivial", &trivial), ("IBM-style", &ibm), ("AlphaSyndrome", &mcts)] {
         schedule.validate(&code)?;
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let estimate = estimate_logical_error(&code, schedule, &noise, &factory, shots, &mut rng)?;
+        let (estimate, _) =
+            estimate_logical_error(&code, schedule, &noise, &factory, shots, &options, &mut rng)?;
         println!(
             "{:<16} {:>6} {:>12.2e} {:>12.2e} {:>12.2e}",
             name,

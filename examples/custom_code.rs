@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example custom_code`
 
-use asyndrome::circuit::{estimate_logical_error, NoiseModel};
+use asyndrome::circuit::{estimate_logical_error, EstimateOptions, NoiseModel};
 use asyndrome::codes::CssCode;
 use asyndrome::core::{LowestDepthScheduler, MctsConfig, MctsScheduler, Scheduler};
 use asyndrome::decode::UnionFindFactory;
@@ -44,11 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .schedule(&code)?;
 
     let shots = 50_000;
+    let options = EstimateOptions::default();
     println!();
     println!("{:<22} {:>6} {:>12}", "schedule", "depth", "overall error");
     for (name, schedule) in [("lowest depth", &baseline), ("AlphaSyndrome (MCTS)", &mcts)] {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let estimate = estimate_logical_error(&code, schedule, &noise, &factory, shots, &mut rng)?;
+        let (estimate, _) =
+            estimate_logical_error(&code, schedule, &noise, &factory, shots, &options, &mut rng)?;
         println!("{:<22} {:>6} {:>12.2e}", name, schedule.depth(), estimate.p_overall());
     }
 

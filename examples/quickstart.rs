@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use asyndrome::circuit::{estimate_logical_error, NoiseModel};
+use asyndrome::circuit::{estimate_logical_error, EstimateOptions, NoiseModel};
 use asyndrome::codes::steane_code;
 use asyndrome::core::{LowestDepthScheduler, MctsConfig, MctsScheduler, Scheduler};
 use asyndrome::decode::BpOsdFactory;
@@ -36,10 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Evaluate both schedules with a fresh seed.
     let shots = 100_000;
+    let options = EstimateOptions::default();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let base = estimate_logical_error(&code, &baseline, &noise, &factory, shots, &mut rng)?;
+    let (base, _) =
+        estimate_logical_error(&code, &baseline, &noise, &factory, shots, &options, &mut rng)?;
     let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let ours = estimate_logical_error(&code, &mcts, &noise, &factory, shots, &mut rng)?;
+    let (ours, _) =
+        estimate_logical_error(&code, &mcts, &noise, &factory, shots, &options, &mut rng)?;
 
     println!();
     println!(

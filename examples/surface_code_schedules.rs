@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example surface_code_schedules`
 
-use asyndrome::circuit::{estimate_logical_error, NoiseModel, Schedule};
+use asyndrome::circuit::{estimate_logical_error, EstimateOptions, NoiseModel, Schedule};
 use asyndrome::codes::rotated_surface_code;
 use asyndrome::core::industry::{google_surface_schedule, rotational_surface_schedule};
 use asyndrome::core::{LowestDepthScheduler, Scheduler};
@@ -17,6 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let noise = NoiseModel::brisbane();
     let factory = MwpmFactory::new();
     let shots = 20_000;
+    let options = EstimateOptions::default();
 
     let schedules: Vec<(&str, Schedule)> = vec![
         ("trivial (index order)", Schedule::trivial(&code)),
@@ -34,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, schedule) in &schedules {
         schedule.validate(&code)?;
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
-        let estimate = estimate_logical_error(&code, schedule, &noise, &factory, shots, &mut rng)?;
+        let (estimate, _) =
+            estimate_logical_error(&code, schedule, &noise, &factory, shots, &options, &mut rng)?;
         println!(
             "{:<26} {:>6} {:>12.2e} {:>12.2e} {:>12.2e}",
             name,

@@ -3,8 +3,7 @@
 //! must report statistically indistinguishable logical error rates.
 
 use asyndrome::circuit::{
-    estimate_logical_error, estimate_logical_error_scalar, estimate_logical_error_with,
-    EstimateOptions, NoiseModel, Schedule,
+    estimate_logical_error, estimate_logical_error_scalar, EstimateOptions, NoiseModel, Schedule,
 };
 use asyndrome::codes::{rotated_surface_code, steane_code, StabilizerCode};
 use asyndrome::decode::UnionFindFactory;
@@ -44,9 +43,11 @@ fn cross_check(code: &StabilizerCode, shots: usize) {
         &noise,
         &factory,
         shots,
+        &EstimateOptions::default(),
         &mut ChaCha8Rng::seed_from_u64(12),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(batch.shots, shots, "no early stop configured, full budget expected");
     assert_statistically_equal("p_overall", scalar.p_overall(), batch.p_overall(), shots);
     assert_statistically_equal("p_x", scalar.p_x(), batch.p_x(), shots);
@@ -76,13 +77,15 @@ fn pipeline_is_reproducible_end_to_end() {
             &noise,
             &factory,
             4_000,
+            &EstimateOptions::default(),
             &mut ChaCha8Rng::seed_from_u64(seed),
         )
         .unwrap()
+        .0
     };
     assert_eq!(run(3), run(3));
     // Thread cap must not change the result either.
-    let capped = estimate_logical_error_with(
+    let (capped, _) = estimate_logical_error(
         &code,
         &schedule,
         &noise,

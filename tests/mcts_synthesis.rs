@@ -1,7 +1,7 @@
 //! Integration tests of the AlphaSyndrome MCTS scheduler: validity,
 //! determinism and improvement over the lowest-depth baseline.
 
-use asyndrome::circuit::{estimate_logical_error, NoiseModel};
+use asyndrome::circuit::{estimate_logical_error, EstimateOptions, NoiseModel};
 use asyndrome::codes::{generalized_shor_code, steane_code};
 use asyndrome::core::{LowestDepthScheduler, MctsConfig, MctsScheduler, Scheduler};
 use asyndrome::decode::{BpOsdFactory, UnionFindFactory};
@@ -60,10 +60,14 @@ fn mcts_is_competitive_with_the_lowest_depth_baseline() {
     let baseline = LowestDepthScheduler::new().schedule(&code).unwrap();
 
     let shots = 40_000;
+    let options = EstimateOptions::default();
     let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let ours = estimate_logical_error(&code, &mcts, &noise, &factory, shots, &mut rng).unwrap();
+    let (ours, _) =
+        estimate_logical_error(&code, &mcts, &noise, &factory, shots, &options, &mut rng).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let base = estimate_logical_error(&code, &baseline, &noise, &factory, shots, &mut rng).unwrap();
+    let (base, _) =
+        estimate_logical_error(&code, &baseline, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
 
     assert!(
         ours.p_overall() <= base.p_overall() * 1.10,
@@ -94,10 +98,14 @@ fn mcts_strictly_improves_with_a_larger_budget() {
     let baseline = LowestDepthScheduler::new().schedule(&code).unwrap();
 
     let shots = 200_000;
+    let options = EstimateOptions::default();
     let mut rng = ChaCha8Rng::seed_from_u64(123);
-    let ours = estimate_logical_error(&code, &mcts, &noise, &factory, shots, &mut rng).unwrap();
+    let (ours, _) =
+        estimate_logical_error(&code, &mcts, &noise, &factory, shots, &options, &mut rng).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(123);
-    let base = estimate_logical_error(&code, &baseline, &noise, &factory, shots, &mut rng).unwrap();
+    let (base, _) =
+        estimate_logical_error(&code, &baseline, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
     assert!(
         ours.p_overall() < base.p_overall(),
         "expected a strict improvement: {} !< {}",

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: codes → schedulers → circuits → DEMs →
 //! decoders → logical error rates.
 
-use asyndrome::circuit::{estimate_logical_error, DetectorErrorModel, NoiseModel, Schedule};
+use asyndrome::circuit::{
+    estimate_logical_error, DetectorErrorModel, EstimateOptions, NoiseModel, Schedule,
+};
 use asyndrome::codes::catalog::{table2_entries, RecommendedDecoder};
 use asyndrome::codes::{rotated_surface_code, steane_code, xzzx_code};
 use asyndrome::core::industry::{
@@ -59,16 +61,19 @@ fn google_schedule_beats_trivial_on_surface_code() {
     let noise = NoiseModel::brisbane();
     let factory = MwpmFactory::new();
     let shots = 8000;
+    let options = EstimateOptions::default();
 
     let trivial = Schedule::trivial(&code);
     let google = google_surface_schedule(&code).unwrap();
 
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let trivial_est =
-        estimate_logical_error(&code, &trivial, &noise, &factory, shots, &mut rng).unwrap();
+    let (trivial_est, _) =
+        estimate_logical_error(&code, &trivial, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let google_est =
-        estimate_logical_error(&code, &google, &noise, &factory, shots, &mut rng).unwrap();
+    let (google_est, _) =
+        estimate_logical_error(&code, &google, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
 
     assert!(
         google_est.p_overall() < 0.7 * trivial_est.p_overall(),
@@ -86,15 +91,19 @@ fn rotational_orders_show_the_fig7_bias() {
     let noise = NoiseModel::paper();
     let factory = MwpmFactory::new();
     let shots = 30_000;
+    let options = EstimateOptions::default();
 
     let clockwise = rotational_surface_schedule(&code, true).unwrap();
     let anticlockwise = rotational_surface_schedule(&code, false).unwrap();
 
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let cw = estimate_logical_error(&code, &clockwise, &noise, &factory, shots, &mut rng).unwrap();
+    let (cw, _) =
+        estimate_logical_error(&code, &clockwise, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let acw =
-        estimate_logical_error(&code, &anticlockwise, &noise, &factory, shots, &mut rng).unwrap();
+    let (acw, _) =
+        estimate_logical_error(&code, &anticlockwise, &noise, &factory, shots, &options, &mut rng)
+            .unwrap();
 
     // The two orders are mirror images: their X/Z biases must be opposite.
     let cw_bias = cw.p_z() - cw.p_x();
@@ -130,12 +139,13 @@ fn non_css_codes_run_end_to_end() {
     let schedule = LowestDepthScheduler::new().schedule(&code).unwrap();
     let factory = factory_for(RecommendedDecoder::BpOsd);
     let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let estimate = estimate_logical_error(
+    let (estimate, _) = estimate_logical_error(
         &code,
         &schedule,
         &NoiseModel::paper(),
         factory.as_ref(),
         4000,
+        &EstimateOptions::default(),
         &mut rng,
     )
     .unwrap();
@@ -151,13 +161,21 @@ fn logical_error_rate_is_monotone_in_physical_noise() {
     let code = steane_code();
     let schedule = LowestDepthScheduler::new().schedule(&code).unwrap();
     let factory = factory_for(RecommendedDecoder::BpOsd);
+    let options = EstimateOptions::default();
     let mut previous = f64::MAX;
     for p in [3e-2, 1e-2, 3e-3] {
         let noise = NoiseModel::uniform(p, p, p);
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let estimate =
-            estimate_logical_error(&code, &schedule, &noise, factory.as_ref(), 6000, &mut rng)
-                .unwrap();
+        let (estimate, _) = estimate_logical_error(
+            &code,
+            &schedule,
+            &noise,
+            factory.as_ref(),
+            6000,
+            &options,
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             estimate.p_overall() <= previous,
             "p_overall should not increase as p decreases (p={p}): {} > {previous}",
