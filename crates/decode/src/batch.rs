@@ -28,8 +28,8 @@
 //! | Decoder | Residual path | Scalar fallback triggers |
 //! |---|---|---|
 //! | [`MwpmDecoder`] | per-shot matching over one per-call table of Dijkstra rows, each source's row computed on first use and shared by all hard shots of the call (see `mwpm.rs`) | none: matching is per-shot, but no row is computed twice |
-//! | [`UnionFindDecoder`] | scalar loop over hard shots (the default) | every multi-defect shot: cluster growth is per-shot; each cluster solve is one word-level elimination of `[A \| b]` plus one refinement loop, on buffers reused across the decode (see `unionfind.rs`) |
-//! | [`BpOsdDecoder`] | lane-batched BP message pass: 64 shots per message word (see `bposd.rs`) | OSD post-processing of the shots whose BP did not converge |
+//! | [`UnionFindDecoder`] | scalar loop over hard shots (the default) | every multi-defect shot: cluster growth is per-shot; each cluster solve is one elimination of `[A \| b]` in the crate's shared GF(2) kernel plus one refinement loop, on buffers reused across the decode (see `unionfind.rs`) |
+//! | [`BpOsdDecoder`] | lane-batched BP message pass: 64 shots per message word (see `bposd.rs`) | OSD post-processing of the shots whose BP did not converge: one elimination in the same GF(2) kernel per shot, on one scratch reused across the call, OSD-CS candidates taken from its kernel vectors |
 //! | [`CachedDecoder<D>`] | cache-hit scan, then the inner decoder's residual path on distinct misses | cache misses only |
 //!
 //! The scalar [`ObservableDecoder::decode`] entry points are untouched and

@@ -1,9 +1,9 @@
 //! Belief-propagation + ordered-statistics decoding (BP-OSD).
 
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
-use asynd_pauli::{BinMatrix, BitVec};
+use asynd_pauli::BitVec;
 
-use crate::common::{CachedDecoder, DecodeMatrix};
+use crate::common::{ones, CachedDecoder, DecodeMatrix, Gf2System, WORD};
 
 /// BP-OSD decoder over a detector error model.
 ///
@@ -11,11 +11,14 @@ use crate::common::{CachedDecoder, DecodeMatrix};
 /// Tanner graph (checks = detectors, variables = error mechanisms) with the
 /// mechanisms' prior log-likelihood ratios. If the hard decision after any
 /// iteration reproduces the observed syndrome, it is accepted; otherwise the
-/// ordered-statistics stage (OSD) sorts the mechanisms by posterior
-/// reliability, selects an information set by Gaussian elimination and
-/// solves for the most-reliable consistent error. `osd_order > 0` adds an
-/// exhaustive search over flips of the least reliable information-set
-/// columns (OSD-CS), as in the `ldpc` package the paper uses.
+/// ordered-statistics stage (OSD) sorts the mechanisms by posterior, most
+/// likely first, and solves for the most likely consistent error with one
+/// elimination in the crate's GF(2) kernel (the one union-find's cluster
+/// solves use). `osd_order > 0` adds an exhaustive search over flips of
+/// the first `osd_order` non-pivot (free) columns in that order — the most
+/// likely mechanisms outside the information set (OSD-CS), as in the
+/// `ldpc` package the paper uses — each candidate being the OSD-0 solution
+/// XOR a combination of those columns' kernel vectors.
 ///
 /// # Example
 ///
@@ -39,14 +42,19 @@ pub struct BpOsdDecoder {
     scale: f64,
 }
 
+/// Largest OSD-CS order: the sweep tries `2^osd_order` combinations.
+const MAX_OSD_ORDER: usize = 10;
+
 impl BpOsdDecoder {
-    /// Builds the decoder.
+    /// Builds the decoder. `osd_order` is clamped to 10: OSD-CS tries all
+    /// `2^osd_order` flip combinations.
     ///
     /// # Panics
     ///
     /// Panics if the DEM has more than 64 observables.
     pub fn new(dem: &DetectorErrorModel, max_iterations: usize, osd_order: usize) -> Self {
         let matrix = DecodeMatrix::new(dem).expect("observable count exceeds decoder support");
+        let osd_order = osd_order.min(MAX_OSD_ORDER);
         BpOsdDecoder { matrix, max_iterations, osd_order, scale: 0.75 }
     }
 
@@ -111,93 +119,86 @@ impl BpOsdDecoder {
         }
     }
 
-    /// Ordered-statistics post-processing: find the most reliable error set
-    /// consistent with the syndrome.
-    fn osd(&self, syndrome: &BitVec, posteriors: &[f64]) -> Vec<usize> {
+    /// Ordered-statistics post-processing: the most reliable error set
+    /// consistent with the syndrome whose packed words are `syndrome`, or
+    /// nothing if the syndrome is not reproducible.
+    ///
+    /// One [`Gf2System`] elimination with the columns sorted by posterior
+    /// gives the OSD-0 solution. OSD-CS candidates are that solution XOR a
+    /// combination of the kernel vectors of the first `osd_order` free
+    /// columns, which is what re-solving with those columns forced to 1
+    /// gives, because the reduced form of a fixed column order is unique.
+    fn osd(&self, syndrome: &[u64], posteriors: &[f64], s: &mut OsdScratch) -> Vec<usize> {
         let m = &self.matrix;
         let num_errors = m.num_errors();
         if num_errors == 0 {
             return Vec::new();
         }
-        // Rank columns: most likely to have fired first (lowest LLR).
-        let mut order: Vec<usize> = (0..num_errors).collect();
-        order.sort_by(|&a, &b| {
+        // Rank columns: most likely to have fired first (lowest LLR), so
+        // they are preferred as pivots.
+        s.order.clear();
+        s.order.extend(0..num_errors);
+        s.order.sort_by(|&a, &b| {
             posteriors[a].partial_cmp(&posteriors[b]).unwrap_or(std::cmp::Ordering::Equal)
         });
-
-        // Build the permuted parity-check matrix and select pivots greedily.
-        let mut inverse_order = vec![0usize; num_errors];
-        for (position, &j) in order.iter().enumerate() {
-            inverse_order[j] = position;
+        s.system.reset(m.num_detectors(), num_errors);
+        for (pos, &j) in s.order.iter().enumerate() {
+            for &d in m.column(j) {
+                s.system.set(d, pos);
+            }
         }
-        let permuted = BinMatrix::from_row_supports(
-            num_errors,
-            &(0..m.num_detectors())
-                .map(|d| m.row(d).iter().map(|&j| inverse_order[j]).collect::<Vec<_>>())
-                .collect::<Vec<_>>(),
-        );
-        // Reduced solve on the permuted system: columns earlier in `order`
-        // are preferred as pivots by the left-to-right sweep of row_reduce.
-        let mut augmented =
-            permuted.hstack(&BinMatrix::from_rows(vec![syndrome.clone()]).transpose());
-        let pivots = augmented.row_reduce();
-        // If the syndrome column became a pivot the system is inconsistent
-        // (should not happen for a DEM-generated syndrome); return BP's best
-        // guess of nothing.
-        if pivots.contains(&num_errors) {
+        for d in ones(syndrome).take_while(|&d| d < m.num_detectors()) {
+            s.system.set(d, num_errors);
+        }
+        // A syndrome outside the column space (not DEM-generated) gets
+        // the empty guess.
+        if !s.system.eliminate() {
             return Vec::new();
         }
-
-        let solve_with = |flips: &[usize]| -> (f64, Vec<usize>) {
-            // Solve with the given non-pivot columns forced to 1.
-            let mut rhs = syndrome.clone();
-            for &f in flips {
-                for &d in m.column(order[f]) {
-                    rhs.flip(d);
-                }
+        let flippable = s.system.solve(self.osd_order, &mut s.particular, &mut s.kernel, |p| p);
+        let pivots = &s.system.pivots;
+        let mut rest = pivots.iter().peekable();
+        let free: Vec<usize> =
+            (0..num_errors).filter(|p| rest.next_if_eq(&p).is_none()).take(flippable).collect();
+        // Candidate `bits` flips the free positions of its set bits; its
+        // mechanisms are those, then the pivots it sets, each ascending,
+        // and its cost sums them in that order.
+        let words = num_errors.div_ceil(WORD);
+        let chosen = |bits: usize| -> Vec<usize> {
+            let flipped = (0..free.len()).filter(|k| bits & (1 << k) != 0);
+            let mut solution = s.particular.clone();
+            for k in flipped.clone() {
+                let vector = &s.kernel[k * words..(k + 1) * words];
+                solution.iter_mut().zip(vector).for_each(|(x, v)| *x ^= v);
             }
-            let mut chosen: Vec<usize> = flips.to_vec();
-            // Back-substitute through the reduced augmented matrix: recompute
-            // pivot values for the adjusted rhs.
-            let mut aug2 = permuted.hstack(&BinMatrix::from_rows(vec![rhs]).transpose());
-            let piv2 = aug2.row_reduce();
-            if piv2.contains(&num_errors) {
-                return (f64::INFINITY, Vec::new());
-            }
-            for (row, &col) in piv2.iter().enumerate() {
-                if aug2.get(row, num_errors) {
-                    chosen.push(col);
-                }
-            }
-            let cost: f64 = chosen.iter().map(|&c| posteriors[order[c]].max(-30.0)).sum();
-            (cost, chosen)
+            let set = pivots.iter().filter(|&&p| solution[p / WORD] >> (p % WORD) & 1 == 1);
+            flipped.map(|k| free[k]).chain(set.copied()).collect()
         };
-
-        // OSD-0 solution.
-        let (mut best_cost, mut best) = solve_with(&[]);
-        // OSD-CS: exhaustive flips over the `osd_order` least reliable
-        // non-pivot columns.
-        if self.osd_order > 0 {
-            let pivot_set: std::collections::HashSet<usize> = pivots.iter().copied().collect();
-            let free: Vec<usize> =
-                (0..num_errors).filter(|c| !pivot_set.contains(c)).take(self.osd_order).collect();
-            let combos = 1usize << free.len().min(10);
-            for bits in 1..combos {
-                let flips: Vec<usize> = free
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| bits & (1 << i) != 0)
-                    .map(|(_, &c)| c)
-                    .collect();
-                let (cost, candidate) = solve_with(&flips);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = candidate;
-                }
+        let cost =
+            |bits| -> f64 { chosen(bits).iter().map(|&c| posteriors[s.order[c]].max(-30.0)).sum() };
+        // Strict `<` keeps the earliest candidate on ties.
+        let mut best = (0, cost(0));
+        for bits in 1..1usize << free.len() {
+            let c = cost(bits);
+            if c < best.1 {
+                best = (bits, c);
             }
         }
-        best.into_iter().map(|c| order[c]).collect()
+        chosen(best.0).into_iter().map(|c| s.order[c]).collect()
     }
+}
+
+/// Buffers of the OSD stage, reused by every OSD call of one decode.
+#[derive(Debug, Default)]
+struct OsdScratch {
+    /// Mechanism at every system position, most likely first.
+    order: Vec<usize>,
+    /// The augmented system over all detectors and mechanisms.
+    system: Gf2System,
+    /// The OSD-0 solution over system positions.
+    particular: Vec<u64>,
+    /// Kernel vectors of the flippable free positions.
+    kernel: Vec<u64>,
 }
 
 impl ObservableDecoder for BpOsdDecoder {
@@ -208,7 +209,7 @@ impl ObservableDecoder for BpOsdDecoder {
         let (posteriors, converged) = self.belief_propagation(detectors);
         let errors = match converged {
             Some(errors) => errors,
-            None => self.osd(detectors, &posteriors),
+            None => self.osd(detectors.words(), &posteriors, &mut OsdScratch::default()),
         };
         let mask = self.matrix.observables_of(&errors);
         self.matrix.mask_to_bitvec(mask)
@@ -235,7 +236,8 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
     /// scalar loop would have returned — and is skipped by every later
     /// iteration, so the per-iteration cost follows the unconverged shots.
     /// Lanes that exhaust the iteration budget fall back to the scalar OSD
-    /// stage with their posteriors.
+    /// stage with their posteriors and packed syndrome words, sharing one
+    /// OSD scratch across the call.
     fn decode_residual(
         &self,
         transposed: &asynd_sim::BitMatrix,
@@ -268,6 +270,7 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
         let mut posteriors = vec![0.0f64; LANES * num_errors];
         let mut det_mask = vec![0u64; m.num_detectors()];
         let mut decided = vec![0u64; num_errors];
+        let mut osd = OsdScratch::default();
         for group in shot_indices.chunks(LANES) {
             let lane_all: u64 =
                 if group.len() == LANES { u64::MAX } else { (1u64 << group.len()) - 1 };
@@ -352,10 +355,8 @@ impl crate::batch::ResidualDecoder for BpOsdDecoder {
                 let lane = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let s = group[lane];
-                let syndrome =
-                    BitVec::from_words(transposed.row_words(s).to_vec(), transposed.cols());
                 let lane_posteriors = &posteriors[lane * num_errors..(lane + 1) * num_errors];
-                let errors = self.osd(&syndrome, lane_posteriors);
+                let errors = self.osd(transposed.row_words(s), lane_posteriors, &mut osd);
                 record(predictions, s, m.observables_of(&errors));
             }
         }
@@ -415,7 +416,8 @@ impl BpOsdFactory {
         BpOsdFactory { max_iterations: 30, osd_order: 0 }
     }
 
-    /// Overrides the iteration budget and OSD combination-sweep order.
+    /// Overrides the iteration budget and OSD combination-sweep order;
+    /// [`BpOsdDecoder::new`] clamps the order to 10.
     pub fn with_parameters(max_iterations: usize, osd_order: usize) -> Self {
         BpOsdFactory { max_iterations, osd_order }
     }
@@ -448,6 +450,7 @@ impl DecoderFactory for BpOsdFactory {
 mod tests {
     use super::*;
     use asynd_circuit::DemError;
+    use asynd_pauli::BinMatrix;
 
     fn toy_dem() -> DetectorErrorModel {
         // Two detectors; three mechanisms with distinct signatures.
@@ -530,6 +533,205 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The OSD stage before the shared elimination kernel, kept verbatim
+    /// as the oracle apart from one edit: the matrix and the order are
+    /// arguments instead of fields.
+    fn reference_osd(
+        m: &DecodeMatrix,
+        osd_order: usize,
+        syndrome: &BitVec,
+        posteriors: &[f64],
+    ) -> Vec<usize> {
+        let num_errors = m.num_errors();
+        if num_errors == 0 {
+            return Vec::new();
+        }
+        // Rank columns: most likely to have fired first (lowest LLR).
+        let mut order: Vec<usize> = (0..num_errors).collect();
+        order.sort_by(|&a, &b| {
+            posteriors[a].partial_cmp(&posteriors[b]).unwrap_or(std::cmp::Ordering::Equal)
+        });
+
+        // Build the permuted parity-check matrix and select pivots greedily.
+        let mut inverse_order = vec![0usize; num_errors];
+        for (position, &j) in order.iter().enumerate() {
+            inverse_order[j] = position;
+        }
+        let permuted = BinMatrix::from_row_supports(
+            num_errors,
+            &(0..m.num_detectors())
+                .map(|d| m.row(d).iter().map(|&j| inverse_order[j]).collect::<Vec<_>>())
+                .collect::<Vec<_>>(),
+        );
+        // Reduced solve on the permuted system: columns earlier in `order`
+        // are preferred as pivots by the left-to-right sweep of row_reduce.
+        let mut augmented =
+            permuted.hstack(&BinMatrix::from_rows(vec![syndrome.clone()]).transpose());
+        let pivots = augmented.row_reduce();
+        // If the syndrome column became a pivot the system is inconsistent
+        // (should not happen for a DEM-generated syndrome); return BP's best
+        // guess of nothing.
+        if pivots.contains(&num_errors) {
+            return Vec::new();
+        }
+
+        let solve_with = |flips: &[usize]| -> (f64, Vec<usize>) {
+            // Solve with the given non-pivot columns forced to 1.
+            let mut rhs = syndrome.clone();
+            for &f in flips {
+                for &d in m.column(order[f]) {
+                    rhs.flip(d);
+                }
+            }
+            let mut chosen: Vec<usize> = flips.to_vec();
+            // Back-substitute through the reduced augmented matrix: recompute
+            // pivot values for the adjusted rhs.
+            let mut aug2 = permuted.hstack(&BinMatrix::from_rows(vec![rhs]).transpose());
+            let piv2 = aug2.row_reduce();
+            if piv2.contains(&num_errors) {
+                return (f64::INFINITY, Vec::new());
+            }
+            for (row, &col) in piv2.iter().enumerate() {
+                if aug2.get(row, num_errors) {
+                    chosen.push(col);
+                }
+            }
+            let cost: f64 = chosen.iter().map(|&c| posteriors[order[c]].max(-30.0)).sum();
+            (cost, chosen)
+        };
+
+        // OSD-0 solution.
+        let (mut best_cost, mut best) = solve_with(&[]);
+        // OSD-CS: exhaustive flips over the `osd_order` least reliable
+        // non-pivot columns.
+        if osd_order > 0 {
+            let pivot_set: std::collections::HashSet<usize> = pivots.iter().copied().collect();
+            let free: Vec<usize> =
+                (0..num_errors).filter(|c| !pivot_set.contains(c)).take(osd_order).collect();
+            let combos = 1usize << free.len().min(10);
+            for bits in 1..combos {
+                let flips: Vec<usize> = free
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| bits & (1 << i) != 0)
+                    .map(|(_, &c)| c)
+                    .collect();
+                let (cost, candidate) = solve_with(&flips);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = candidate;
+                }
+            }
+        }
+        best.into_iter().map(|c| order[c]).collect()
+    }
+
+    /// Syndromes to feed the OSD stage on one DEM, each with the BP
+    /// posteriors the decoder would hand it: every sampled shot whose BP
+    /// did not converge, then random detector sets, some of them outside
+    /// the column space.
+    fn osd_inputs(decoder: &BpOsdDecoder, dem: &DetectorErrorModel) -> Vec<(BitVec, Vec<f64>)> {
+        use rand::{Rng, SeedableRng};
+        let n = dem.num_detectors();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(n as u64);
+        let batch = asynd_sim::BatchSampler::new(&dem.to_frame_model()).sample(2048, &mut rng);
+        let mut inputs = Vec::new();
+        for shot in 0..batch.num_shots() {
+            let syndrome = batch.shot_detectors(shot);
+            if let (posteriors, None) = decoder.belief_propagation(&syndrome) {
+                inputs.push((syndrome, posteriors));
+            }
+        }
+        for _ in 0..24 {
+            let weight = rng.gen_range(1..9usize);
+            let indices: Vec<usize> = (0..weight).map(|_| rng.gen_range(0..n)).collect();
+            let syndrome = BitVec::from_indices(n, &indices);
+            let (posteriors, _) = decoder.belief_propagation(&syndrome);
+            inputs.push((syndrome, posteriors));
+        }
+        inputs
+    }
+
+    /// The catalog DEMs the OSD tests run on: the lowest-depth schedules
+    /// of the two smallest colour codes of each lattice, at two rates.
+    fn colour_dems() -> Vec<DetectorErrorModel> {
+        use asynd_circuit::NoiseModel;
+        use asynd_codes::catalog::family_by_name;
+        use asynd_core::{LowestDepthScheduler, Scheduler};
+        let mut dems = Vec::new();
+        for family in ["hexagonal-color", "square-octagonal-color"] {
+            for entry in &family_by_name(family).expect("catalog family")[..2] {
+                let schedule = LowestDepthScheduler::new().schedule(&entry.code).unwrap();
+                for p in [1e-3, 7.4e-3] {
+                    let noise = NoiseModel::scaled(p);
+                    dems.push(DetectorErrorModel::build(&entry.code, &schedule, &noise).unwrap());
+                }
+            }
+        }
+        dems
+    }
+
+    #[test]
+    fn osd_matches_the_binmatrix_reference_on_colour_dems() {
+        // (calls, inconsistent syndromes, OSD-CS calls with free columns)
+        let mut seen = (0, 0, 0);
+        // The colour DEMs reach every syndrome. Without its mechanisms of
+        // odd detector count, the first one leaves every odd-weight
+        // syndrome outside the column space.
+        let mut dems = colour_dems();
+        let even: Vec<DemError> =
+            dems[0].errors().iter().filter(|e| e.detectors.len() % 2 == 0).cloned().collect();
+        dems.push(DetectorErrorModel::from_parts(
+            dems[0].num_detectors(),
+            dems[0].num_observables(),
+            even,
+        ));
+        for dem in dems {
+            let decoders = [0, 2, 4, 12].map(|order| (order, BpOsdDecoder::new(&dem, 30, order)));
+            let mut scratch = OsdScratch::default();
+            for (i, (syndrome, posteriors)) in osd_inputs(&decoders[0].1, &dem).iter().enumerate() {
+                // Order 12 re-eliminates 1 024 times per reference call,
+                // so it runs on a handful of syndromes only.
+                for (order, decoder) in &decoders[..if i < 3 { 4 } else { 3 }] {
+                    let order = *order;
+                    let got = decoder.osd(syndrome.words(), posteriors, &mut scratch);
+                    let expected = reference_osd(&decoder.matrix, order, syndrome, posteriors);
+                    assert_eq!(got, expected, "order {order}, syndrome {syndrome:?}");
+                    seen.0 += 1;
+                    if scratch.system.pivots.last() == Some(&decoder.matrix.num_errors()) {
+                        seen.1 += 1;
+                    } else if order > 0 && scratch.system.pivots.len() < decoder.matrix.num_errors()
+                    {
+                        seen.2 += 1;
+                    }
+                }
+            }
+        }
+        eprintln!("{seen:?}");
+        assert!(seen.1 > 0, "no inconsistent syndrome: {seen:?}");
+        assert!(seen.2 > 0, "no OSD-CS call with free columns: {seen:?}");
+    }
+
+    #[test]
+    fn osd_corrections_reproduce_consistent_syndromes() {
+        let mut checked = 0;
+        for dem in colour_dems() {
+            for order in [0, 4] {
+                let decoder = BpOsdDecoder::new(&dem, 30, order);
+                let mut scratch = OsdScratch::default();
+                for (syndrome, posteriors) in osd_inputs(&decoder, &dem) {
+                    let errors = decoder.osd(syndrome.words(), &posteriors, &mut scratch);
+                    if scratch.system.pivots.last() == Some(&decoder.matrix.num_errors()) {
+                        continue;
+                    }
+                    assert_eq!(decoder.matrix.syndrome_of(&errors), syndrome, "order {order}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

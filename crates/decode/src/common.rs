@@ -1,5 +1,5 @@
 //! Shared decoder infrastructure: the sparse detector-by-error matrix view
-//! of a DEM and common error types.
+//! of a DEM, the GF(2) elimination kernel and common error types.
 
 use std::error::Error;
 use std::fmt;
@@ -185,6 +185,137 @@ impl DecodeMatrix {
     pub fn observables_of(&self, errors: &[usize]) -> u64 {
         errors.iter().fold(0u64, |acc, &j| acc ^ self.observable_masks[j])
     }
+}
+
+/// Bits per word of a packed GF(2) vector or system row.
+pub(crate) const WORD: usize = 64;
+
+/// The crate's one GF(2) solver: a reusable scratch holding an augmented
+/// system `[A | b]` row-major in flat `u64` words, filled by the caller in
+/// its own column order (position `cols` is `b`) and solved by one reduced
+/// row echelon pass.
+///
+/// Pivots are picked column by column from the first row at or below the
+/// pivot row, so earlier positions are preferred and pivots never depend
+/// on `b`; a pivot in the `b` column means the system is inconsistent.
+#[derive(Debug, Default)]
+pub(crate) struct Gf2System {
+    cols: usize,
+    /// Words per row.
+    stride: usize,
+    words: Vec<u64>,
+    /// Position of the pivot of every nonzero reduced row, ascending.
+    pub(crate) pivots: Vec<usize>,
+    /// Kernel vector of every free position `solve` built one for; only
+    /// those entries are ever read, the rest are stale.
+    slot: Vec<usize>,
+}
+
+impl Gf2System {
+    /// Clears the scratch to `rows` all-zero equations in `cols` unknowns.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        (self.cols, self.stride) = (cols, (cols + 1).div_ceil(WORD));
+        self.words.clear();
+        self.words.resize(rows * self.stride, 0);
+        self.pivots.clear();
+    }
+
+    /// Sets entry `(row, pos)`.
+    #[inline]
+    pub(crate) fn set(&mut self, row: usize, pos: usize) {
+        set_bit(&mut self.words[row * self.stride..], pos);
+    }
+
+    /// Reduces the system in place and returns whether it is consistent.
+    #[inline]
+    pub(crate) fn eliminate(&mut self) -> bool {
+        let stride = self.stride;
+        let rows = self.words.len() / stride;
+        for col in 0..=self.cols {
+            let pivot_row = self.pivots.len();
+            if pivot_row >= rows {
+                break;
+            }
+            let (w, bit) = (col / WORD, 1u64 << (col % WORD));
+            let Some(found) = (pivot_row..rows).find(|&r| self.words[r * stride + w] & bit != 0)
+            else {
+                continue;
+            };
+            if found != pivot_row {
+                for i in 0..stride {
+                    self.words.swap(pivot_row * stride + i, found * stride + i);
+                }
+            }
+            // Rows at or below the pivot row are zero left of `col`, so
+            // clearing the column only needs the words from `w` on.
+            for r in (0..rows).filter(|&r| r != pivot_row) {
+                if self.words[r * stride + w] & bit != 0 {
+                    for i in w..stride {
+                        self.words[r * stride + i] ^= self.words[pivot_row * stride + i];
+                    }
+                }
+            }
+            self.pivots.push(col);
+        }
+        self.pivots.last() != Some(&self.cols)
+    }
+
+    /// Reads a consistent reduced system: its particular solution (free
+    /// positions 0) into `particular`, and into `kernel` the vectors of its
+    /// first `limit` free positions, whose count it returns. Vectors take
+    /// `cols.div_ceil(WORD)` words each, position `p` at bit `map(p)`. The
+    /// vector of free position `f` holds `f` and every pivot whose reduced
+    /// row has a 1 at `f`.
+    pub(crate) fn solve(
+        &mut self,
+        limit: usize,
+        particular: &mut Vec<u64>,
+        kernel: &mut Vec<u64>,
+        map: impl Fn(usize) -> usize,
+    ) -> usize {
+        let words = self.cols.div_ceil(WORD);
+        let built = limit.min(self.cols - self.pivots.len());
+        particular.clear();
+        particular.resize(words, 0);
+        for (r, &pivot) in self.pivots.iter().enumerate() {
+            if self.words[r * self.stride + self.cols / WORD] >> (self.cols % WORD) & 1 == 1 {
+                set_bit(particular, map(pivot));
+            }
+        }
+        kernel.clear();
+        kernel.resize(built * words, 0);
+        if self.slot.len() < self.cols {
+            self.slot.resize(self.cols, 0);
+        }
+        let mut pivots = self.pivots.iter().peekable();
+        let (mut k, mut end) = (0, 0);
+        for pos in 0..self.cols {
+            if k == built {
+                break;
+            }
+            if pivots.next_if_eq(&&pos).is_none() {
+                self.slot[pos] = k;
+                set_bit(&mut kernel[k * words..(k + 1) * words], map(pos));
+                (k, end) = (k + 1, pos + 1);
+            }
+        }
+        for (r, &pivot) in self.pivots.iter().enumerate() {
+            // A reduced row's first set bit is its pivot and its last may
+            // be the `b` bit; the ones between are free positions.
+            let row = &self.words[r * self.stride..(r + 1) * self.stride];
+            for pos in ones(row).skip(1).take_while(|&pos| pos < end) {
+                let k = self.slot[pos];
+                set_bit(&mut kernel[k * words..(k + 1) * words], map(pivot));
+            }
+        }
+        built
+    }
+}
+
+/// Sets bit `i` of a word slice.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / WORD] |= 1 << (i % WORD);
 }
 
 /// Positions of the set bits of a word slice, ascending.

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
 use asynd_pauli::BitVec;
 
-use crate::common::{ones, CachedDecoder, DecodeMatrix};
+use crate::common::{ones, CachedDecoder, DecodeMatrix, Gf2System, WORD};
 
 /// Hypergraph union-find decoder.
 ///
@@ -20,10 +20,11 @@ use crate::common::{ones, CachedDecoder, DecodeMatrix};
 /// clusters freeze — they stop growing and their solve result is memoised
 /// — so per-round work tracks only the clusters that are still unexplained.
 ///
-/// Each cluster solve is one reduced row echelon pass over the augmented
-/// cluster system `[A | b]` in flat `u64` words, with columns in
-/// reliability order: it gives the validity test, a particular solution
-/// and the kernel basis together. One refinement loop over word slices
+/// Each cluster solve is one pass of the crate's GF(2) elimination kernel
+/// (shared with BP-OSD's OSD stage) over the augmented cluster system
+/// `[A | b]` in flat `u64` words, with columns in reliability order: it
+/// gives the validity test, a particular solution and the kernel basis
+/// together. One refinement loop over word slices
 /// then moves towards the cheapest explanation (lowest sum of prior LLRs):
 /// every kernel combination for kernels of up to 12 vectors, otherwise
 /// three greedy sweeps. All buffers come from one scratch per decode, so a
@@ -78,11 +79,9 @@ impl UnionFindDecoder {
     /// mechanisms are left in `scratch.best` as a bit set over the
     /// positions of `cluster_errors`.
     ///
-    /// One reduced row echelon pass over the augmented `[A | b]` yields
+    /// One [`Gf2System`] elimination of the augmented `[A | b]` yields
     /// the validity test, a particular solution and the kernel basis at
-    /// once: pivots are picked column by column from the first row at or
-    /// below the pivot row, so they never depend on `b`, and a pivot in
-    /// the `b` column means the syndrome is not reproducible.
+    /// once.
     fn solve_cluster(
         &self,
         cluster_detectors: &[usize],
@@ -108,11 +107,9 @@ impl UnionFindDecoder {
         s.order.extend(0..cols);
         let llrs = &s.llrs;
         s.order.sort_by(|&a, &b| llrs[a].partial_cmp(&llrs[b]).unwrap_or(Ordering::Equal));
-        // Augmented system, row-major in flat words: row `r` is cluster
-        // detector `r`, bit `cols` its syndrome bit.
-        let stride = (cols + 1).div_ceil(WORD);
-        s.system.clear();
-        s.system.resize(rows * stride, 0);
+        // Augmented system: row `r` is cluster detector `r`, position
+        // `cols` its syndrome bit.
+        s.system.reset(rows, cols);
         for (r, &d) in cluster_detectors.iter().enumerate() {
             s.detector_row[d] = r;
         }
@@ -120,85 +117,24 @@ impl UnionFindDecoder {
             for &d in self.matrix.column(cluster_errors[col]) {
                 let r = s.detector_row[d];
                 if r != usize::MAX {
-                    s.system[r * stride + pos / WORD] |= 1 << (pos % WORD);
+                    s.system.set(r, pos);
                 }
             }
         }
         for (r, &d) in cluster_detectors.iter().enumerate() {
             if syndrome.get(d) {
-                s.system[r * stride + cols / WORD] |= 1 << (cols % WORD);
+                s.system.set(r, cols);
             }
             s.detector_row[d] = usize::MAX;
         }
-        s.pivots.clear();
-        for col in 0..=cols {
-            let pivot_row = s.pivots.len();
-            if pivot_row >= rows {
-                break;
-            }
-            let (w, bit) = (col / WORD, 1u64 << (col % WORD));
-            let Some(found) = (pivot_row..rows).find(|&r| s.system[r * stride + w] & bit != 0)
-            else {
-                continue;
-            };
-            if found != pivot_row {
-                for i in 0..stride {
-                    s.system.swap(pivot_row * stride + i, found * stride + i);
-                }
-            }
-            // Rows at or below the pivot row are zero left of `col`, so
-            // clearing the column only needs the words from `w` on.
-            for r in (0..rows).filter(|&r| r != pivot_row) {
-                if s.system[r * stride + w] & bit != 0 {
-                    for i in w..stride {
-                        s.system[r * stride + i] ^= s.system[pivot_row * stride + i];
-                    }
-                }
-            }
-            s.pivots.push(col);
-        }
-        if s.pivots.last() == Some(&cols) {
+        if !s.system.eliminate() {
             return None;
         }
         // Particular solution and kernel basis, mapped back to cluster
         // columns so costs sum in ascending column order.
         let words = cols.div_ceil(WORD);
-        let set = |v: &mut [u64], pos: usize| {
-            let col = s.order[pos];
-            v[col / WORD] |= 1 << (col % WORD);
-        };
-        s.best.resize(words, 0);
-        for (r, &pivot) in s.pivots.iter().enumerate() {
-            if s.system[r * stride + cols / WORD] >> (cols % WORD) & 1 == 1 {
-                set(&mut s.best, pivot);
-            }
-        }
-        // Kernel basis: one vector per free position `f`, holding `f` and
-        // every pivot whose reduced row has a 1 at `f`, so one walk over
-        // the set bits of the reduced rows fills every vector.
-        let kernel_len = cols - s.pivots.len();
-        s.kernel.clear();
-        s.kernel.resize(kernel_len * words, 0);
-        s.slot.clear();
-        s.slot.resize(cols, usize::MAX);
-        let mut pivots = s.pivots.iter().peekable();
-        let mut k = 0;
-        for free in 0..cols {
-            if pivots.next_if_eq(&&free).is_none() {
-                s.slot[free] = k;
-                set(&mut s.kernel[k * words..(k + 1) * words], free);
-                k += 1;
-            }
-        }
-        for (r, &pivot) in s.pivots.iter().enumerate() {
-            // A reduced row's first set bit is its pivot and its last may
-            // be the syndrome bit; the ones between are free positions.
-            let row = &s.system[r * stride..(r + 1) * stride];
-            for free in ones(row).skip(1).take_while(|&pos| pos < cols) {
-                let k = s.slot[free];
-                set(&mut s.kernel[k * words..(k + 1) * words], pivot);
-            }
-        }
+        let order = &s.order;
+        let kernel_len = s.system.solve(usize::MAX, &mut s.best, &mut s.kernel, |p| order[p]);
         // Among the consistent explanations inside the cluster, refine
         // towards the most likely one: exhaustively for small kernels (in
         // ascending subset order, each candidate one XOR off a prefix
@@ -248,9 +184,6 @@ impl UnionFindDecoder {
     }
 }
 
-/// Bits per system word.
-const WORD: usize = 64;
-
 /// Sum of the LLRs of the columns set in `x`, added in ascending column
 /// order. Stops as soon as the partial sum reaches `bound`: every LLR is
 /// positive, so rounded partial sums never decrease and the full sum
@@ -281,13 +214,8 @@ struct SolveScratch {
     llrs: Vec<f64>,
     /// Cluster column at every system position.
     order: Vec<usize>,
-    /// The augmented system, row-major.
-    system: Vec<u64>,
-    /// Pivot column of every nonzero reduced row.
-    pivots: Vec<usize>,
-    /// Kernel vector of every free system position; `usize::MAX` at
-    /// pivots.
-    slot: Vec<usize>,
+    /// The augmented cluster system and its elimination.
+    system: Gf2System,
     /// Kernel basis over cluster columns, one vector after another.
     kernel: Vec<u64>,
     /// Best explanation so far over cluster columns.
@@ -300,6 +228,17 @@ struct SolveScratch {
 impl SolveScratch {
     fn new(num_detectors: usize) -> Self {
         SolveScratch { detector_row: vec![usize::MAX; num_detectors], ..Default::default() }
+    }
+}
+
+/// Tests read the last solve's elimination state, such as
+/// `scratch.pivots`, through the cluster system.
+#[cfg(test)]
+impl std::ops::Deref for SolveScratch {
+    type Target = Gf2System;
+
+    fn deref(&self) -> &Gf2System {
+        &self.system
     }
 }
 
@@ -739,6 +678,62 @@ mod tests {
                 mask
             });
         }
+    }
+
+    #[test]
+    fn valid_cluster_corrections_reproduce_the_cluster_syndrome() {
+        use asynd_circuit::NoiseModel;
+        use asynd_codes::catalog::family_by_name;
+        use asynd_core::{LowestDepthScheduler, Scheduler};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut valid = 0;
+        for family in ["hexagonal-color", "square-octagonal-color"] {
+            for entry in &family_by_name(family).expect("catalog family")[..2] {
+                let schedule = LowestDepthScheduler::new().schedule(&entry.code).unwrap();
+                for p in [1e-3, 7.4e-3] {
+                    let noise = NoiseModel::scaled(p);
+                    let dem = DetectorErrorModel::build(&entry.code, &schedule, &noise).unwrap();
+                    let decoder = UnionFindDecoder::new(&dem);
+                    let m = &decoder.matrix;
+                    let n = dem.num_detectors();
+                    let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+                    let batch =
+                        asynd_sim::BatchSampler::new(&dem.to_frame_model()).sample(256, &mut rng);
+                    let mut syndromes: Vec<BitVec> =
+                        (0..batch.num_shots()).map(|s| batch.shot_detectors(s)).collect();
+                    for _ in 0..24 {
+                        let indices: Vec<usize> =
+                            (0..rng.gen_range(2..13usize)).map(|_| rng.gen_range(0..n)).collect();
+                        syndromes.push(BitVec::from_indices(n, &indices));
+                    }
+                    let mut scratch = SolveScratch::new(n);
+                    for syndrome in syndromes.iter().filter(|s| s.any()) {
+                        decoder.grow_clusters(syndrome, |detectors, errors| {
+                            let mask =
+                                decoder.solve_cluster(detectors, errors, syndrome, &mut scratch);
+                            if mask.is_some() {
+                                let chosen: Vec<usize> =
+                                    ones(&scratch.best).map(|col| errors[col]).collect();
+                                // The chosen mechanisms flip exactly the
+                                // cluster's detection events, and nothing
+                                // outside the cluster.
+                                let produced = m.syndrome_of(&chosen);
+                                let outside =
+                                    produced.ones().any(|d| detectors.binary_search(&d).is_err());
+                                let wrong =
+                                    detectors.iter().any(|&d| produced.get(d) != syndrome.get(d));
+                                assert!(!outside && !wrong, "cluster {detectors:?} / {errors:?}");
+                                valid += 1;
+                            }
+                            mask
+                        });
+                    }
+                }
+            }
+        }
+        assert!(valid > 0);
     }
 
     #[test]

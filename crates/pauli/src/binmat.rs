@@ -9,11 +9,10 @@ use crate::{BitVec, PauliError};
 /// A dense matrix over GF(2) with bit-packed rows.
 ///
 /// `BinMatrix` underlies the linear algebra used throughout the workspace:
-/// extracting logical operators of CSS codes (kernels and quotients),
-/// checking stabilizer independence (rank) and the OSD stage of BP-OSD
-/// (Gaussian elimination and solving). It is also the reference the
-/// hypergraph union-find decoder's word-level cluster solver is tested
-/// against.
+/// extracting logical operators of CSS codes (kernels and quotients) and
+/// checking stabilizer independence (rank). It is also the reference
+/// the decoders' word-level GF(2) kernel (union-find's cluster solves and
+/// BP-OSD's OSD stage) is tested against.
 ///
 /// # Example
 ///

@@ -255,8 +255,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         None => {
             let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve_lines(stdin.lock(), stdout.lock(), &server).map_err(|e| e.to_string())?;
+            serve_lines(stdin.lock(), std::io::stdout(), &server).map_err(|e| e.to_string())?;
         }
     }
     let snapshot = server.metrics_snapshot();
@@ -549,8 +548,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
                 registry,
             );
             let input = lines.join("\n");
-            let stdout = std::io::stdout();
-            serve_lines(input.as_bytes(), stdout.lock(), &server).map_err(|e| e.to_string())?;
+            serve_lines(input.as_bytes(), std::io::stdout(), &server).map_err(|e| e.to_string())?;
             server.shutdown();
         }
     }

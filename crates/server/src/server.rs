@@ -2,11 +2,11 @@
 //! by a worker thread pool, executing synthesis jobs through the
 //! portfolio engine over per-tenant shared evaluators.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -27,7 +27,7 @@ use crate::protocol::{
 use crate::queue::ShardedQueue;
 use crate::reactor::{serve_tcp_with, ReactorOptions, ReactorSink};
 use crate::tenants::TenantMap;
-use crate::ServerError;
+use crate::{lock_unpoisoned, ServerError};
 
 /// Configuration of a [`ScheduleServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,11 +184,6 @@ impl JobHandle {
                 error: "server shut down before the job ran".to_string(),
             },
         }
-    }
-
-    /// The response, if the job already finished (non-blocking).
-    pub fn poll(&self) -> Option<Response> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -774,10 +769,30 @@ impl V1Session {
     }
 }
 
-/// Writes one response line and flushes it.
-fn write_line(writer: &mut impl Write, response: &Response) -> std::io::Result<()> {
-    writeln!(writer, "{}", response.to_json())?;
-    writer.flush()
+/// The session and the writer of one [`serve_lines`] call, shared by its
+/// reader and its waiter thread.
+struct LinesOutput<W> {
+    session: V1Session,
+    writer: W,
+    /// The first write error; nothing more is written after it.
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> LinesOutput<W> {
+    /// Writes one response line and flushes it.
+    fn write(&mut self, response: &Response) {
+        if self.error.is_none() {
+            let written = writeln!(self.writer, "{}", response.to_json());
+            self.error = written.and_then(|()| self.writer.flush()).err();
+        }
+    }
+
+    /// Writes every response the session releases.
+    fn release(&mut self) {
+        while let Some(response) = self.session.next_response() {
+            self.write(&response);
+        }
+    }
 }
 
 /// Speaks the JSON-lines protocol over an arbitrary reader/writer pair —
@@ -785,13 +800,15 @@ fn write_line(writer: &mut impl Write, response: &Response) -> std::io::Result<(
 /// connections follow the same rules (see [`crate::reactor`]).
 ///
 /// Job responses are written in submission order (the determinism
-/// contract's framing guarantee), a refused submission's error included;
-/// already-finished jobs are flushed eagerly between requests so a
-/// long-lived session streams results. `ping`, `lookup` and `metrics` are
-/// answered immediately, out of band of job ordering — they are probes,
-/// not jobs.
+/// contract's framing guarantee), a refused submission's error included,
+/// each as soon as it and every job before it have finished — a waiter
+/// thread writes them while the calling thread blocks reading the next
+/// request, so an interactive client gets its answer without sending
+/// another line. `ping`, `lookup` and `metrics` are answered immediately,
+/// out of band of job ordering — they are probes, not jobs.
 ///
-/// Returns `true` when the peer requested shutdown.
+/// Returns `true` when the peer requested shutdown, after every job it
+/// submitted has been answered.
 ///
 /// # Errors
 ///
@@ -800,65 +817,79 @@ fn write_line(writer: &mut impl Write, response: &Response) -> std::io::Result<(
 /// answered with a structured error response on the stream and never
 /// abort it, so one garbage line cannot tear down a connection and the
 /// pipelined jobs behind it.
-pub fn serve_lines(
-    mut reader: impl BufRead,
-    mut writer: impl Write,
+pub fn serve_lines<W: Write + Send>(
+    reader: impl BufRead,
+    writer: W,
     server: &ScheduleServer,
 ) -> std::io::Result<bool> {
-    let mut session = V1Session::new();
-    // Submitted jobs, in sequence order.
-    let mut pending: VecDeque<(u64, JobHandle)> = VecDeque::new();
+    let output = Mutex::new(LinesOutput { session: V1Session::new(), writer, error: None });
+    let (pending, submitted) = mpsc::channel::<(u64, JobHandle)>();
+    let read = std::thread::scope(|scope| {
+        // The waiter: answers the submitted jobs in sequence order and
+        // ends once the reader has hung up and every job is answered.
+        scope.spawn(|| {
+            for (seq, handle) in submitted {
+                let response = handle.wait();
+                let mut out = lock_unpoisoned(&output);
+                out.session.done(seq, response);
+                out.release();
+            }
+        });
+        read_requests(reader, &output, server, pending)
+    });
+    let mut output = output.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    output.release();
+    read?;
+    let shutdown = output.session.shutdown_requested();
+    match output.error {
+        // A peer that asked for shutdown and hung up before reading the
+        // ack still gets its shutdown honoured — losing the write must
+        // not lose the intent.
+        Some(e) if !shutdown => Err(e),
+        _ => Ok(shutdown),
+    }
+}
+
+/// The reader half of [`serve_lines`]: feeds request lines to the
+/// session until EOF, a shutdown request or a write error, and hands
+/// every submitted job to the waiter through `pending`, which it drops on
+/// return so the waiter can finish.
+fn read_requests<W: Write>(
+    mut reader: impl BufRead,
+    output: &Mutex<LinesOutput<W>>,
+    server: &ScheduleServer,
+    pending: mpsc::Sender<(u64, JobHandle)>,
+) -> std::io::Result<()> {
     let mut raw: Vec<u8> = Vec::new();
     loop {
         raw.clear();
         if reader.read_until(b'\n', &mut raw)? == 0 {
-            break;
+            return Ok(());
         }
-        match session.line(&raw, server) {
+        let mut out = lock_unpoisoned(output);
+        match out.session.line(&raw, server) {
             None => {}
-            Some(V1Step::Reply(response)) => write_line(&mut writer, &response)?,
+            Some(V1Step::Reply(response)) => out.write(&response),
+            // Submitting under the lock holds back releases while the
+            // queue is full; the workers draining it never take the lock.
             Some(V1Step::Submit(seq, request)) => {
                 let id = request.id.clone();
                 match server.submit(request) {
-                    Ok(handle) => pending.push_back((seq, handle)),
-                    Err(e) => session.done(seq, Response::Error { id, error: e.to_string() }),
+                    // The waiter holds the receiver until this sender drops.
+                    Ok(handle) => {
+                        let _ = pending.send((seq, handle));
+                    }
+                    Err(e) => {
+                        out.session.done(seq, Response::Error { id, error: e.to_string() });
+                        out.release();
+                    }
                 }
             }
         }
-        if session.shutdown_requested() {
-            break;
-        }
-        // Stream any responses that are already done, oldest first, so a
-        // long-lived session sees results without waiting for EOF.
-        while let Some((seq, handle)) = pending.front() {
-            let Some(response) = handle.poll() else { break };
-            session.done(*seq, response);
-            pending.pop_front();
-        }
-        while let Some(response) = session.next_response() {
-            write_line(&mut writer, &response)?;
+        if out.error.is_some() || out.session.shutdown_requested() {
+            return Ok(());
         }
     }
-    let shutdown = session.shutdown_requested();
-    let finish = move || -> std::io::Result<()> {
-        let mut pending = pending.into_iter();
-        loop {
-            while let Some(response) = session.next_response() {
-                write_line(&mut writer, &response)?;
-            }
-            let Some((seq, handle)) = pending.next() else { return Ok(()) };
-            session.done(seq, handle.wait());
-        }
-    };
-    match finish() {
-        Ok(()) => {}
-        // A peer that asked for shutdown and hung up before reading the
-        // ack still gets its shutdown honoured — losing the write must
-        // not lose the intent.
-        Err(_) if shutdown => {}
-        Err(e) => return Err(e),
-    }
-    Ok(shutdown)
 }
 
 /// Serves both wire protocols over TCP on a single-reactor event loop —
@@ -1035,6 +1066,63 @@ mod tests {
         }
         // All six jobs hit one tenant and the memoised baseline schedule.
         assert_eq!(server.tenants(), 1);
+    }
+
+    #[test]
+    fn an_interactive_client_gets_its_answer_without_sending_another_line() {
+        // One job written into a pipe that stays open: the response must
+        // arrive while serve_lines is still blocked reading the next line.
+        let server = ScheduleServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let (stdin, mut client) = std::io::pipe().unwrap();
+        let (answers, responses) = mpsc::channel();
+        let mut writer = LineSink(answers, Vec::new());
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| {
+                serve_lines(std::io::BufReader::new(stdin), &mut writer, &server).unwrap()
+            });
+            writeln!(
+                client,
+                "{{\"id\":\"live\",\"code\":{{\"family\":\"rotated-surface\"}},\
+                 \"noise\":\"brisbane\",\"strategy\":\"lowest-depth\",\
+                 \"budget\":8,\"shots\":120,\"seed\":3}}"
+            )
+            .unwrap();
+            let answer = responses.recv_timeout(std::time::Duration::from_secs(30));
+            // Release the server whatever happened, so a failure ends the
+            // test instead of hanging it.
+            writeln!(client, "{{\"op\":\"shutdown\"}}").unwrap();
+            drop(client);
+            let answer = answer.expect("no answer while the client kept its pipe open");
+            match Response::parse(&answer).unwrap() {
+                Response::Ok(outcome) => assert_eq!(outcome.id, "live"),
+                other => panic!("unexpected response: {other:?}"),
+            }
+            assert!(serving.join().unwrap());
+        });
+        let rest: Vec<String> = responses.try_iter().collect();
+        assert_eq!(rest.len(), 1, "{rest:?}");
+        assert!(matches!(Response::parse(&rest[0]).unwrap(), Response::ShuttingDown));
+    }
+
+    /// A writer that sends every completed line down a channel.
+    struct LineSink(mpsc::Sender<String>, Vec<u8>);
+
+    impl Write for LineSink {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            for &byte in bytes {
+                if byte == b'\n' {
+                    let _ = self.0.send(String::from_utf8_lossy(&self.1).into_owned());
+                    self.1.clear();
+                } else {
+                    self.1.push(byte);
+                }
+            }
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
